@@ -30,8 +30,8 @@ Compares the current run's --json outputs against the previous run's
                                       (threads, mode) point: bitmap
                                       thread series + heap baseline)
   hbmstore         mops               must be >= 0.90x baseline (per
-                                      (threads, mode) point: lockfree
-                                      and locked HBM set-index engines)
+                                      (threads, mode) point: the lockfree
+                                      HBM set-index series)
 
 Independently of any baseline, three absolute acceptance bars apply:
 
@@ -53,13 +53,8 @@ Independently of any baseline, three absolute acceptance bars apply:
     that the hardware can express.
   - the logappend same-lane append series: on a host with >= 4 cores
     the lock-free CAS bank must scale >= 1.3x from 1 to 4 appender
-    threads (the mutex engine structurally cannot); on a starved host
-    the bar degrades to a no-collapse floor (>= 0.15x). On every host
-    the CAS engine's top-width scaling must be at least 0.9x the
-    mutex engine's — the lock-free path must never convoy harder than
-    the lock it replaced. The floor is deliberately NOT applied to
-    the `locked` series: its collapse under contention is the
-    behavior the CAS engine exists to remove.
+    threads (a mutex-serialized append structurally cannot); on a
+    starved host the bar degrades to a no-collapse floor (>= 0.15x).
   - the persistency flush-heavy ablation: buffered-epoch with K=4 must
     sustain at least 1.3x the strict model's ops/kstep — relaxing the
     persistency model has to buy real throughput back, or the
@@ -73,13 +68,8 @@ Independently of any baseline, three absolute acceptance bars apply:
     construction, so a super-linear scan means the §3.4 story broke.
   - the hbmstore same-lane store storm: on a host with >= 4 cores the
     lock-free HBM set index must scale >= 1.3x from 1 to 4 storing
-    threads (the lane-mutex engine structurally cannot); on a starved
-    host the bar degrades to a no-collapse floor (>= 0.15x). On every
-    host the lockfree engine's top-width scaling must be at least
-    0.9x the locked engine's — the per-set spinlock must never convoy
-    harder than the lane lock it replaced. The floor is deliberately
-    NOT applied to the `locked` series: its collapse under same-lane
-    contention is the behavior the set index exists to remove.
+    threads (a lane-serialized store path structurally cannot); on a
+    starved host the bar degrades to a no-collapse floor (>= 0.15x).
 
 A missing baseline file seeds the ratchet (exit 0); the workflow then
 saves CURRENT_DIR as the next run's baseline.
@@ -237,10 +227,7 @@ def check_logappend_scaling(current, failures):
     with LOGAPPEND_SCALING_CORES or more cores, the CAS engine's widest
     thread count must scale LOGAPPEND_SCALING_BAR over one thread; on a
     starved host real speedup is impossible, so the bar degrades to a
-    no-collapse floor. On every host the CAS engine's scaling must be at
-    least the mutex engine's at the same width — if the CAS path ever
-    convoys harder than the lock it replaced, that is a regression
-    regardless of core count."""
+    no-collapse floor."""
     host_cores = current.get("config", {}).get("host_cores", 1)
     by_mode = {}
     for r in current["results"]:
@@ -277,23 +264,6 @@ def check_logappend_scaling(current, failures):
             f"{top['threads']} threads >= {LOGAPPEND_NO_COLLAPSE_FLOOR} "
             f"floor (host_cores={host_cores} < {LOGAPPEND_SCALING_CORES})"
         )
-    locked = by_mode.get("locked", [])
-    locked_top = max(locked, key=lambda r: r["threads"], default=None)
-    if locked_top and locked_top["threads"] == top["threads"]:
-        # 10% slack: the two engines can sit near parity on starved
-        # hosts, and run-to-run jitter should not fail the build there.
-        if scaling < 0.9 * locked_top["scaling_vs_1"]:
-            failures.append(
-                f"logappend: cas scaling {scaling:.2f}x trails the mutex "
-                f"engine's {locked_top['scaling_vs_1']:.2f}x at "
-                f"{top['threads']} threads — the lock-free path convoys "
-                f"harder than the lock it replaced"
-            )
-        else:
-            print(
-                f"logappend cas-vs-locked ok: {scaling:.2f}x >= "
-                f"{locked_top['scaling_vs_1']:.2f}x at {top['threads']} threads"
-            )
 
 
 def check_allocbench_scaling(current, failures):
@@ -374,10 +344,7 @@ def check_hbmstore_scaling(current, failures):
     with HBMSTORE_SCALING_CORES or more cores, the lockfree engine's
     widest thread count must scale HBMSTORE_SCALING_BAR over one
     thread; on a starved host real speedup is impossible, so the bar
-    degrades to a no-collapse floor. On every host the lockfree
-    engine's scaling must be at least 0.9x the locked engine's at the
-    same width — the per-set spinlock must never convoy harder than
-    the lane lock it replaced."""
+    degrades to a no-collapse floor."""
     host_cores = current.get("config", {}).get("host_cores", 1)
     by_mode = {}
     for r in current["results"]:
@@ -414,23 +381,6 @@ def check_hbmstore_scaling(current, failures):
             f"{top['threads']} threads >= {HBMSTORE_NO_COLLAPSE_FLOOR} "
             f"floor (host_cores={host_cores} < {HBMSTORE_SCALING_CORES})"
         )
-    locked = by_mode.get("locked", [])
-    locked_top = max(locked, key=lambda r: r["threads"], default=None)
-    if locked_top and locked_top["threads"] == top["threads"]:
-        # Same 10% slack as logappend: near-parity plus jitter on a
-        # starved host should not fail the build.
-        if scaling < 0.9 * locked_top["scaling_vs_1"]:
-            failures.append(
-                f"hbmstore: lockfree scaling {scaling:.2f}x trails the "
-                f"locked engine's {locked_top['scaling_vs_1']:.2f}x at "
-                f"{top['threads']} threads — the set index convoys "
-                f"harder than the lane lock it replaced"
-            )
-        else:
-            print(
-                f"hbmstore lockfree-vs-locked ok: {scaling:.2f}x >= "
-                f"{locked_top['scaling_vs_1']:.2f}x at {top['threads']} threads"
-            )
 
 
 def ratchet_hbmstore(baseline, current, failures):

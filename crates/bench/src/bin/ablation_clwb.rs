@@ -55,6 +55,7 @@ fn run(clwb: bool) -> (u64, u64, f64) {
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("ablation_clwb");
     out.config("epoch_lines", Json::U64(LINES));
     out.line(format!(

@@ -18,6 +18,7 @@ use pax_pm::PoolConfig;
 const TOTAL_OPS: u64 = 4_096;
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("ablation_epoch");
     out.config("total_ops", Json::U64(TOTAL_OPS));
     out.line(format!("persist() frequency ablation — {TOTAL_OPS} inserts total\n"));

@@ -63,6 +63,7 @@ fn run(policy: EvictionPolicy, pump_interval: usize) -> (u64, u64, u64) {
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("ablation_eviction");
     out.config("hot_lines", Json::U64(HOT_LINES));
     out.config("cold_lines", Json::U64(COLD_LINES));

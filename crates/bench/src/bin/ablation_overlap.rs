@@ -31,6 +31,7 @@ fn free_running_config() -> PaxConfig {
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("ablation_overlap");
     out.line("non-blocking persist: inline device steps the application waits for\n");
     let mut rows = vec![vec![

@@ -53,6 +53,7 @@ fn report(
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("bandwidth");
     out.config("hbm_hit_rate", Json::F64(0.5));
     out.line("§5.1 bottleneck analysis — resource utilisation under offered load\n");

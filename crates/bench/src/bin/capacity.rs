@@ -22,6 +22,7 @@ use pax_pm::{PoolConfig, LINE_SIZE};
 const HBM_LINES: usize = 64;
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("capacity");
     out.config("hbm_lines", Json::U64(HBM_LINES as u64));
     out.line(format!(

@@ -13,6 +13,7 @@ use pax_cache::AmatEstimator;
 use pax_pm::LatencyProfile;
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("fig2a");
     let keys = 20_000; // table ≈ 2× the scaled LLC: LLC misses occur but caches filter most
     let ops = 100_000;

@@ -59,6 +59,7 @@ fn run_measured() {
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json", "--measured"], &["--threads", "--shards", "--ops"]);
     if flag("--measured") {
         run_measured();
         return;

@@ -27,6 +27,7 @@ fn pool_config() -> PoolConfig {
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("persist_cost");
     out.config("ops", Json::U64(OPS));
     let profile = LatencyProfile::c6420();

@@ -80,6 +80,7 @@ fn run(model: PersistencyModel, mix: OpMix) -> RunStats {
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mix = OpMix::flush_heavy();
     let machine = MachineParams::paper();
     let mut out = BenchOut::from_args("persistency");

@@ -70,6 +70,7 @@ fn run(dir: DirectoryConfig) -> RunStats {
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("snoopfilter");
     out.config("rounds", Json::U64(ROUNDS));
     out.config("working_set_lines", Json::U64(WS_LINES));

@@ -82,6 +82,7 @@ fn run(noisy: bool) -> (u64, u64) {
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("tenants");
     out.line("noisy neighbor: victim steps per op with the aggressor idle vs active\n");
 

@@ -15,6 +15,7 @@ use pax_bench::{BenchOut, Json};
 use pax_pm::{LatencyProfile, PoolConfig, PAGE_SIZE};
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("trap_overhead");
     let profile = LatencyProfile::c6420();
     let updates = 4_000u64;

@@ -32,6 +32,7 @@ fn pool_config() -> PoolConfig {
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &[]);
     let mut out = BenchOut::from_args("write_amp");
     let writes = 2_000u64;
     out.config("writes", Json::U64(writes));

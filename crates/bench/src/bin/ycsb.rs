@@ -45,6 +45,7 @@ fn run_ops<S: MemSpace>(space: &S, spec: &WorkloadSpec, measure_from: impl FnOnc
 }
 
 fn main() {
+    pax_bench::accept_args(&["--json"], &["--keys", "--ops"]);
     let mut out = BenchOut::from_args("ycsb");
     // Shared CLI plumbing (same `--name value` grammar as fig2b).
     let keys: u64 = arg_value("--keys").map_or(2_000, |v| v.parse().expect("bad --keys"));

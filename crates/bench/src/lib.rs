@@ -84,6 +84,53 @@ impl BenchOut {
     }
 }
 
+/// Rejects any process argument the calling binary does not accept:
+/// `flags` are bare switches (`--json`), `options` take a value
+/// (`--ops 100` or `--ops=100`). On an unknown argument, or an option
+/// missing its value, prints the accepted set to stderr and exits with
+/// code 2. Call first thing in `main`, before any work or output.
+pub fn accept_args(flags: &[&str], options: &[&str]) {
+    if let Err(bad) = check_args(std::env::args().skip(1), flags, options) {
+        let accepted: Vec<String> = flags
+            .iter()
+            .map(|f| f.to_string())
+            .chain(options.iter().map(|o| format!("{o} <value>")))
+            .collect();
+        eprintln!(
+            "error: {bad}
+accepted arguments: {}",
+            accepted.join(" ")
+        );
+        std::process::exit(2);
+    }
+}
+
+/// The argument check behind [`accept_args`]: `Err` names the first
+/// offending argument.
+fn check_args(
+    args: impl IntoIterator<Item = String>,
+    flags: &[&str],
+    options: &[&str],
+) -> Result<(), String> {
+    let mut args = args.into_iter();
+    while let Some(a) = args.next() {
+        if flags.contains(&a.as_str()) {
+            continue;
+        }
+        if options.contains(&a.as_str()) {
+            if args.next().is_none() {
+                return Err(format!("{a} needs a value"));
+            }
+            continue;
+        }
+        let inline = a.split_once('=').is_some_and(|(name, _)| options.contains(&name));
+        if !inline {
+            return Err(format!("unknown argument {a:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// Whether `name` (e.g. `--measured`) is among the process arguments.
 pub fn flag(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -321,6 +368,25 @@ pub fn measure_insert_profile(keys: u64, ops: u64) -> pax_exec::OpProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn check(args: &[&str]) -> Result<(), String> {
+        check_args(args.iter().map(|a| a.to_string()), &["--json"], &["--ops"])
+    }
+
+    #[test]
+    fn accepts_declared_flags_and_options() {
+        assert_eq!(check(&[]), Ok(()));
+        assert_eq!(check(&["--json", "--ops", "5"]), Ok(()));
+        assert_eq!(check(&["--ops=5", "--json"]), Ok(()));
+    }
+
+    #[test]
+    fn rejects_unknown_and_valueless_arguments() {
+        assert!(check(&["--bogus"]).is_err());
+        assert!(check(&["--json=1"]).is_err());
+        assert!(check(&["stray"]).is_err());
+        assert!(check(&["--ops"]).is_err());
+    }
 
     #[test]
     fn bar_scales() {

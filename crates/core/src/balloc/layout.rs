@@ -20,7 +20,7 @@
 
 use crate::PaxError;
 
-/// Identifies a formatted pax-alloc space ("PAXALOC1").
+/// Identifies a formatted bitmap-allocator space ("PAXALOC1").
 pub const MAGIC: u64 = u64::from_le_bytes(*b"PAXALOC1");
 
 /// On-media format version.

@@ -28,7 +28,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use pax_cache::{HomeAgent, HostSnoop, ShardedHome};
 use pax_pm::{CacheLine, CrashClock, LineAddr, PersistencyModel, PmError, PmPool, Result};
@@ -42,7 +42,6 @@ use crate::recovery::{recover_traced, RecoveryReport};
 use crate::sched::{persist_drain_budget, weighted_budget, DeviceScheduler, SchedConfig};
 use crate::shard::{split_log_region, tick, DeviceShard, LaneHandles};
 use crate::tenant::{TenantId, TenantMap, TenantRegion};
-use crate::undo_log::{AtomicBank, LogWatermark};
 
 /// Component name stamped on the device's metrics and trace records.
 const COMPONENT: &str = "device";
@@ -84,22 +83,6 @@ pub struct DeviceConfig {
     /// write-backs contiguous in lane-local address space share one
     /// durable-write step, up to this many. 1 = the unbatched pipeline.
     pub persist_wb_batch: usize,
-    /// When true, each lane's undo bank uses the original mutex-guarded
-    /// append engine instead of the lock-free CAS bank — the
-    /// differential baseline for `tests/lockfree_log.rs`. Defaults to
-    /// the `locked-log` cargo feature (off ⇒ CAS), so CI can run the
-    /// whole suite under either engine.
-    pub locked_log: bool,
-    /// When true, every hot-path protocol section re-acquires the lane's
-    /// `Mutex<DeviceShard>` — the pre-lock-free-HBM engine, kept as the
-    /// CI-differential baseline for `tests/hbm_lockfree.rs`. When false
-    /// (the default), stores, evictions, and the persist sweep go through
-    /// the lane's shared handles (concurrent HBM set index, striped
-    /// epoch-log map, striped directory, atomic counters) and the hit
-    /// path takes no lane mutex at all. Defaults to the `locked-hbm`
-    /// cargo feature (off ⇒ lock-free), so CI can run the whole suite
-    /// under either engine.
-    pub locked_hbm: bool,
     /// Consecutive skipped non-blocking polls of one tenant's drain
     /// after which [`PaxDevice::background`]'s poll falls back to a
     /// patient (bounded-spin) acquisition of the ctl lock, so a
@@ -175,35 +158,6 @@ impl DeviceConfig {
         self
     }
 
-    /// Returns the config with the original mutex-guarded undo-bank
-    /// append engine (the lock-free CAS bank's differential baseline).
-    pub fn with_locked_log(mut self) -> Self {
-        self.locked_log = true;
-        self
-    }
-
-    /// Returns the config with the lock-free CAS undo-bank engine,
-    /// overriding the `locked-log` cargo feature's default.
-    pub fn with_cas_log(mut self) -> Self {
-        self.locked_log = false;
-        self
-    }
-
-    /// Returns the config with the mutex-guarded lane engine (the
-    /// lock-free HBM set index's differential baseline): every hot-path
-    /// protocol section runs under the lane's `Mutex<DeviceShard>`.
-    pub fn with_locked_hbm(mut self) -> Self {
-        self.locked_hbm = true;
-        self
-    }
-
-    /// Returns the config with the lock-free concurrent HBM engine,
-    /// overriding the `locked-hbm` cargo feature's default.
-    pub fn with_lockfree_hbm(mut self) -> Self {
-        self.locked_hbm = false;
-        self
-    }
-
     /// Returns the config with a different poll-starvation threshold. A
     /// zero limit is rejected by [`DeviceConfig::validate`].
     pub fn with_poll_skip_limit(mut self, n: u64) -> Self {
@@ -276,8 +230,6 @@ impl Default for DeviceConfig {
             sched: SchedConfig::default(),
             directory: DirectoryConfig::enabled(),
             persist_wb_batch: 8,
-            locked_log: cfg!(feature = "locked-log"),
-            locked_hbm: cfg!(feature = "locked-hbm"),
             poll_skip_limit: 64,
             persistency: PersistencyModel::Epoch,
         }
@@ -340,29 +292,26 @@ struct DrainState {
 /// another lane or a host core. Epoch counters and the per-lane durable
 /// log watermarks are atomics, read lock-free.
 ///
-/// **The lane mutex is off the store hot path** (PR 10): each lane's
-/// hot state — the concurrent HBM set index, the striped epoch-log map,
-/// the write-back queue, the striped ownership directory, and the atomic
-/// counter registry — is reachable through shared [`LaneHandles`] held
-/// alongside (not inside) the `Mutex<DeviceShard>`, so `RdShared` /
-/// `RdOwn` / eviction service and the persist sweep on the *same lane*
-/// proceed with no lane-mutex acquisition at all. The mutex survives for
-/// the locked-mode undo log (`&mut UndoLog`), commit-time epoch reset,
-/// and recovery/snapshot sync; write-back *drains* serialize on the
-/// per-lane [`WbGate`](crate::cell::WbGate) instead (lane — when held at
-/// all — orders before wb-gate). [`DeviceConfig::with_locked_hbm`]
-/// restores the mutex-guarded engine as the CI-differential baseline,
-/// and `lane_lock_acquisitions` counts every acquisition so tests can
-/// assert the zero-lock hit path.
+/// **The lane mutex is off the store hot path**: each lane's hot state —
+/// the concurrent HBM set index, the lock-free undo log, the striped
+/// epoch-log map, the write-back queue, the striped ownership directory,
+/// and the atomic counter registry — is reachable through shared
+/// [`LaneHandles`] held alongside (not inside) the `Mutex<DeviceShard>`,
+/// so `RdShared` / `RdOwn` / eviction service and the persist sweep on
+/// the *same lane* proceed with no lane-mutex acquisition at all. The
+/// mutex survives for the background write-back step, commit-time epoch
+/// reset, and snapshot-time metric sync; persist-path write-back
+/// *drains* serialize on the per-lane [`WbGate`](crate::cell::WbGate)
+/// instead (lane — when held — orders before wb-gate).
+/// `lane_lock_acquisitions` counts every acquisition so tests can assert
+/// the zero-lock hit path.
 ///
-/// Under the default CAS undo bank ([`crate::AtomicBank`]) the log hot
-/// paths sit *outside* this hierarchy entirely: append reserves a slot
-/// with a CAS on the bank's packed tail word (no lock at all), and the
-/// pump/flush media handoff takes **pool only**, never the lane lock.
-/// Only [`DeviceConfig::with_locked_log`] routes both back under the lane
-/// mutex (which is why `locked_log` implies the locked-lane engine).
-/// Epoch commit — which takes ctl, flushes every lane of the tenant, and
-/// writes the header slot — is the only cross-shard rendezvous.
+/// The undo log ([`crate::UndoLog`]) sits *outside* this hierarchy
+/// entirely: append reserves a slot with a CAS on the log's packed tail
+/// word (no lock at all), and the pump/flush media handoff takes **pool
+/// only**, never the lane lock. Epoch commit — which takes ctl,
+/// flushes every lane of the tenant, and writes the header slot — is the
+/// only cross-shard rendezvous.
 #[derive(Debug)]
 pub struct PaxDevice {
     /// The PM media behind its single global lock; engines lock it only
@@ -378,21 +327,16 @@ pub struct PaxDevice {
     /// `t*S + addr % S`.
     stride: usize,
     /// The per-line state, one lane mutex per [`DeviceShard`] (`T*S`
-    /// total, tenant-major). Since PR 10 the mutex guards only the
-    /// locked-mode undo log and commit/recovery-time state sync; hot
-    /// paths go through `lanes` instead.
+    /// total, tenant-major). The mutex guards only background
+    /// write-back, commit-time reset and snapshot sync; hot paths go
+    /// through `lanes` instead.
     shards: Vec<Mutex<DeviceShard>>,
     /// Shared hot-path handles, one clone per lane (index-aligned with
     /// `shards`): the concurrent HBM index, epoch-log map, write-back
-    /// queue, directory, counters, wb-gate, watermark, and CAS bank.
+    /// queue, directory, counters, wb-gate, and undo log.
     /// Everything a store or persist sweep touches without the lane
     /// mutex.
     lanes: Vec<LaneHandles>,
-    /// Whether hot-path protocol sections must take the lane mutex:
-    /// [`DeviceConfig::locked_hbm`] (the differential baseline), or
-    /// [`DeviceConfig::locked_log`] (whose append/pump need
-    /// `&mut UndoLog` from the guard).
-    hot_locked: bool,
     /// Cumulative lane-mutex acquisitions, all paths. The lock-free
     /// engine's tentpole invariant — a warm same-lane store storm takes
     /// zero — is asserted through this counter.
@@ -401,15 +345,6 @@ pub struct PaxDevice {
     /// of `draining` so hot paths can skip the ctl `try_lock` entirely
     /// in the common nothing-draining case. Updated under ctl.
     drain_depth: Vec<AtomicUsize>,
-    /// Per-lane durable watermarks, shared with each lane's
-    /// [`crate::UndoLog`]: drain polling checks durability without taking
-    /// any lane lock.
-    watermarks: Vec<Arc<LogWatermark>>,
-    /// Per-lane handles to the lock-free CAS undo banks (`None` for every
-    /// lane under [`DeviceConfig::with_locked_log`]). Pump and flush paths
-    /// use these to drain the log holding only the pool lock, never the
-    /// lane lock.
-    log_banks: Vec<Option<Arc<AtomicBank>>>,
     /// Per tenant: the epoch currently being built (= that tenant's
     /// committed epoch + 1). Written only under that tenant's ctl lock;
     /// hot paths read it lock-free.
@@ -508,7 +443,6 @@ impl PaxDevice {
                     config.hbm.with_capacity_bytes(slice),
                     base,
                     cap,
-                    config.locked_log,
                 )
             })
             .collect();
@@ -540,8 +474,6 @@ impl PaxDevice {
             let gauge = metrics.counter(name);
             metrics.add(gauge, value);
         }
-        let watermarks = shards.iter().map(|s| s.log.watermark()).collect();
-        let log_banks = shards.iter().map(|s| s.log.bank()).collect();
         let lane_handles = shards.iter().map(|s| s.handles()).collect();
         Ok(PaxDevice {
             pool: PoolCell::new(pool),
@@ -551,11 +483,8 @@ impl PaxDevice {
             stride,
             shards: shards.into_iter().map(Mutex::new).collect(),
             lanes: lane_handles,
-            hot_locked: config.locked_hbm || config.locked_log,
             lane_lock_acquisitions: AtomicU64::new(0),
             drain_depth: (0..t).map(|_| AtomicUsize::new(0)).collect(),
-            watermarks,
-            log_banks,
             epochs: epochs.into_iter().map(AtomicU64::new).collect(),
             draining: (0..t).map(|_| Mutex::new(VecDeque::new())).collect(),
             poll_skips: (0..t).map(|_| AtomicU64::new(0)).collect(),
@@ -674,20 +603,14 @@ impl PaxDevice {
     /// Total entries drained durably across all lane log banks — read
     /// from the shared atomic watermarks, no lane lock taken.
     pub fn log_durable_offset(&self) -> u64 {
-        self.watermarks.iter().map(|w| w.durable()).sum()
+        self.lanes.iter().map(|h| h.log.durable_offset()).sum()
     }
 
     /// Undo-log entries tenant `t` has appended but not yet drained
     /// durably — the backlog the scheduler's weighted budgets work off.
-    /// Lock-free under the CAS banks; the locked-log baseline reads
-    /// through the lane guard.
+    /// Lock-free: read from the lanes' undo logs.
     pub fn log_pending_for(&self, t: TenantId) -> usize {
-        self.tenant_lanes(t)
-            .map(|l| match &self.log_banks[l] {
-                Some(bank) => bank.pending_len(),
-                None => self.lock_lane(l).log.pending_len(),
-            })
-            .sum()
+        self.tenant_lanes(t).map(|l| self.lanes[l].log.pending_len()).sum()
     }
 
     /// A handle to the crash clock shared with this device; arm it to cut
@@ -697,9 +620,8 @@ impl PaxDevice {
     }
 
     /// Cumulative `Mutex<DeviceShard>` (lane-mutex) acquisitions, all
-    /// paths. With the default lock-free HBM engine a warm same-lane
-    /// store path must not move this counter at all — asserted by
-    /// `store_hit_path_takes_no_lane_lock` and `tests/hbm_lockfree.rs`.
+    /// paths. A warm same-lane store path must not move this counter at
+    /// all — asserted by `store_hit_path_takes_no_lane_lock`.
     pub fn lane_lock_acquisitions(&self) -> u64 {
         self.lane_lock_acquisitions.load(Ordering::Relaxed)
     }
@@ -708,25 +630,6 @@ impl PaxDevice {
     fn lock_lane(&self, l: usize) -> MutexGuard<'_, DeviceShard> {
         self.lane_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
         lock(&self.shards[l])
-    }
-
-    /// Non-blocking [`PaxDevice::lock_lane`]; only successful
-    /// acquisitions count.
-    fn try_lock_lane(&self, l: usize) -> Option<MutexGuard<'_, DeviceShard>> {
-        let g = try_lock(&self.shards[l]);
-        if g.is_some() {
-            self.lane_lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        }
-        g
-    }
-
-    /// The hot-path lane guard: `Some` exactly when the device runs a
-    /// locked baseline engine (`locked_hbm`, or `locked_log`, whose
-    /// append/pump need `&mut UndoLog`). Hot paths hold it per protocol
-    /// section and never across [`PaxDevice::background`] or another
-    /// lane.
-    fn hot_guard(&self, l: usize) -> Option<MutexGuard<'_, DeviceShard>> {
-        self.hot_locked.then(|| self.lock_lane(l))
     }
 
     /// HBM read hit rate so far (aggregated over lanes) — pure atomic
@@ -837,7 +740,6 @@ impl PaxDevice {
             try_lock(&self.draining[t])
                 .and_then(|g| g.iter().rev().find_map(|d| d.values.get(&addr)).cloned())
         };
-        let mut hot = self.hot_guard(lane);
         self.lanes[lane].resolve(
             &self.pool,
             &self.clock,
@@ -845,7 +747,6 @@ impl PaxDevice {
             self.config.cache_clean_reads,
             drain_value,
             addr,
-            hot.as_deref_mut().map(|s| &mut s.log),
         )
     }
 
@@ -867,20 +768,15 @@ impl PaxDevice {
         let idle_log = self.config.log_pump_batch.min(1);
         let idle_wb = self.config.writeback_batch.min(1);
         if self.shards.len() > 1 && idle_log + idle_wb > 0 {
-            let idle = self.sched.next_idle(self.shards.len(), lane, |s| {
-                !self.lanes[s].writeback_queue.is_empty()
-                    || match &self.log_banks[s] {
-                        Some(bank) => bank.pending_len() > 0,
-                        // Locked-log pending length lives behind the lane
-                        // guard; a lane busy on another thread is simply
-                        // not idle this round.
-                        None => self.try_lock_lane(s).is_some_and(|g| g.log.pending_len() > 0),
-                    }
-            });
+            let idle =
+                self.sched.next_idle(self.shards.len(), lane, |s| self.lane_has_background_work(s));
             if let Some(s) = idle {
                 let before = self.clock.steps_taken();
                 self.lane_background(s, idle_log, idle_wb)?;
-                self.metrics.add(self.ctr.sched_idle_steps, self.clock.steps_taken() - before);
+                // Charged to the donated lane, so tenant and shard
+                // rollups conserve the total.
+                let h = &self.lanes[s];
+                h.metrics.add(h.ctr.sched_idle_steps, self.clock.steps_taken() - before);
             }
         }
         Ok(())
@@ -888,37 +784,20 @@ impl PaxDevice {
 
     /// One lane's background step: pump up to `log_batch` undo entries to
     /// media, then run the lane's write-back engine for `wb_batch` lines.
-    /// Under the default CAS bank the pump happens **before** and
-    /// **without** the lane lock — the media handoff serializes on the
+    /// The pump takes no lane lock — the media handoff serializes on the
     /// pool lock alone, so concurrent appenders on the same lane are
     /// never stalled behind it — and the lane lock is then taken only for
-    /// the write-back queue. The locked baseline runs both under the lane
-    /// mutex, exactly as before this split. Both engines issue the
-    /// identical pump-then-write-back step sequence, so single-driver
-    /// runs stay bit-identical across modes.
+    /// a non-empty write-back queue, so a pure store storm's background
+    /// step never touches the lane mutex at all.
     fn lane_background(&self, lane: usize, log_batch: usize, wb_batch: usize) -> Result<()> {
-        let lane_log_batch = match &self.log_banks[lane] {
-            Some(bank) => {
-                if log_batch > 0 && bank.pending_len() > 0 {
-                    bank.pump(&mut self.pool.lock(), &self.clock, log_batch)?;
-                }
-                0
-            }
-            None => log_batch,
-        };
-        // Fast path: nothing for the guarded engine to do — the CAS pump
-        // above already ran — so a pure store storm's background step
-        // never touches the lane mutex at all.
-        if lane_log_batch == 0 && (wb_batch == 0 || self.lanes[lane].writeback_queue.is_empty()) {
+        let h = &self.lanes[lane];
+        if log_batch > 0 && h.log.pending_len() > 0 {
+            h.log.pump(&mut self.pool.lock(), &self.clock, log_batch)?;
+        }
+        if wb_batch == 0 || h.writeback_queue.is_empty() {
             return Ok(());
         }
-        self.lock_lane(lane).background(
-            &self.pool,
-            &self.clock,
-            &self.trace,
-            lane_log_batch,
-            wb_batch,
-        )
+        self.lock_lane(lane).background(&self.pool, &self.clock, &self.trace, wb_batch)
     }
 
     /// Advances the device's free-running engines by `n` **virtual
@@ -967,11 +846,7 @@ impl PaxDevice {
             }
             if cfg.adaptive {
                 for l in 0..self.shards.len() {
-                    let pending = match &self.log_banks[l] {
-                        Some(bank) => bank.pending_len(),
-                        None => self.lock_lane(l).log.pending_len(),
-                    };
-                    self.sched.observe_log_depth(l, pending, &cfg);
+                    self.sched.observe_log_depth(l, self.lanes[l].log.pending_len(), &cfg);
                 }
             }
             let now = self.sched.advance();
@@ -992,14 +867,9 @@ impl PaxDevice {
 
     /// Whether lane `l` has background work pending (undo entries not
     /// yet durable, or queued write-backs), observed through the shared
-    /// handles — the locked-log baseline alone reads pending length
-    /// behind the lane guard.
+    /// handles without any lock.
     fn lane_has_background_work(&self, l: usize) -> bool {
-        !self.lanes[l].writeback_queue.is_empty()
-            || match &self.log_banks[l] {
-                Some(bank) => bank.pending_len() > 0,
-                None => self.lock_lane(l).log.pending_len() > 0,
-            }
+        !self.lanes[l].writeback_queue.is_empty() || self.lanes[l].log.pending_len() > 0
     }
 
     /// Ends every tenant's current epoch in tenant order and returns
@@ -1138,10 +1008,8 @@ impl PaxDevice {
     /// lines the ownership directory says the host may still hold
     /// modified, and returns the lane's epoch-log length plus the
     /// `(addr, value)` pairs that still need a PM write back. Runs
-    /// through the lane's shared handles — lock-free mode takes no lane
-    /// mutex; the locked baseline re-acquires it per protocol section,
-    /// dropped around each snoop (host core locks order *before* lane
-    /// locks). What varies per [`SweepMode`]:
+    /// through the lane's shared handles and takes no lane mutex. What
+    /// varies per [`SweepMode`]:
     ///
     /// * `Snoop` — downgrade; returned host data refreshes the HBM copy
     ///   so post-persist reads stay warm.
@@ -1171,16 +1039,12 @@ impl PaxDevice {
         let entries = logged.len() as u64;
         let mut pending = Vec::with_capacity(logged.len());
         for (_offset, addr) in logged {
-            let should_snoop = {
-                let _hot = self.hot_guard(l);
-                let should = h.dir_should_snoop(addr, filter);
-                // CLWB invalidates rather than snoops; only the
-                // downgrade flavours count toward `snoops_sent`.
-                if should && mode != SweepMode::Clwb {
-                    h.count_snoop_sent();
-                }
-                should
-            };
+            let should_snoop = h.dir_should_snoop(addr, filter);
+            // CLWB invalidates rather than snoops; only the downgrade
+            // flavours count toward `snoops_sent`.
+            if should_snoop && mode != SweepMode::Clwb {
+                h.count_snoop_sent();
+            }
             let host_data = if should_snoop {
                 let op = if mode == SweepMode::Clwb { "snp_inv" } else { "snp_data" };
                 self.trace.record(COMPONENT, TraceEvent::Coherence { op: op.into(), line: addr.0 });
@@ -1189,13 +1053,11 @@ impl PaxDevice {
                     _ => cache.snoop_shared(addr),
                 };
                 // The snoop itself is the host's give-up evidence.
-                let _hot = self.hot_guard(l);
                 h.dir_clear(addr);
                 d
             } else {
                 None
             };
-            let mut hot = self.hot_guard(l);
             let data = match (host_data, mode) {
                 (Some(d), SweepMode::Clwb) => Some(d),
                 (Some(d), _) => {
@@ -1208,7 +1070,6 @@ impl PaxDevice {
                         &self.pool,
                         &self.clock,
                         &self.trace,
-                        hot.as_deref_mut().map(|s| &mut s.log),
                         addr,
                         d.clone(),
                         false,
@@ -1232,7 +1093,6 @@ impl PaxDevice {
             if data.is_none() && mode == SweepMode::Clwb {
                 h.hbm_mark_clean(addr);
             }
-            drop(hot);
             if let Some(d) = data {
                 pending.push((addr, d));
             }
@@ -1261,11 +1121,8 @@ impl PaxDevice {
         }
         let addrs: Vec<LineAddr> = pending.iter().map(|&(a, _)| a).collect();
         let h = &self.lanes[lane];
-        // Lane guard (locked baseline only) before the wb-gate — the
-        // fixed drain order. The gate keeps a concurrent background
-        // drain from landing a stale HBM copy on top of these
-        // just-snooped values.
-        let _hot = self.hot_guard(lane);
+        // The gate keeps a concurrent background drain from landing a
+        // stale HBM copy on top of these just-snooped values.
         let _gate = h.wb_gate.lock();
         for run in coalesce_runs(&addrs, self.stride as u64, self.config.persist_wb_batch) {
             h.count_wb_batch();
@@ -1321,15 +1178,11 @@ impl PaxDevice {
         Ok(committed)
     }
 
-    /// Drains lane `l`'s undo bank to full durability. The CAS bank
-    /// flushes holding only the pool lock around each media step —
-    /// appenders on the lane keep reserving and publishing concurrently —
-    /// while the locked baseline flushes under the lane mutex as before.
+    /// Drains lane `l`'s undo bank to full durability, holding only the
+    /// pool lock around each media step — appenders on the lane keep
+    /// reserving and publishing concurrently.
     fn flush_lane_log(&self, l: usize) -> Result<()> {
-        match &self.log_banks[l] {
-            Some(bank) => bank.flush(&mut self.pool.lock(), &self.clock),
-            None => self.lock_lane(l).log.flush(&mut self.pool.lock(), &self.clock),
-        }
+        self.lanes[l].log.flush(&mut self.pool.lock(), &self.clock)
     }
 
     /// Typed guard for the tenant-indexed entry points.
@@ -1401,7 +1254,7 @@ impl PaxDevice {
         // Each of the tenant's banks must drain through the epoch's last
         // entry; commit will recycle exactly those slots.
         let flush_to: Vec<u64> =
-            self.tenant_lanes(t).map(|l| self.lock_lane(l).log.appended()).collect();
+            self.tenant_lanes(t).map(|l| self.lanes[l].log.appended()).collect();
         let epoch = self.epochs[t].load(Ordering::Acquire);
         ctl.push_back(DrainState { epoch, queue, values, flush_to, entries });
         // Mirror of the queue depth for the lock-free fast paths:
@@ -1475,7 +1328,10 @@ impl PaxDevice {
             self.poll_drain(t, &mut ctl)?;
             return Ok(());
         }
-        self.metrics.inc(self.ctr.persist_poll_skipped);
+        // Charged to the tenant's phase-0 lane, like `count_persist`, so
+        // per-tenant rollups conserve the skip count.
+        let h = &self.lanes[t * self.stride];
+        h.metrics.inc(h.ctr.persist_poll_skipped);
         let streak = self.poll_skips[t].fetch_add(1, Ordering::Relaxed) + 1;
         if streak < self.config.poll_skip_limit {
             return Ok(());
@@ -1517,29 +1373,18 @@ impl PaxDevice {
         };
         // Phase 1: the tenant's undo entries for the epoch must be
         // durable first. The atomic watermarks answer the common
-        // already-durable case without taking any lane lock, and under
-        // the CAS bank the pump itself needs none either — the media
-        // handoff serializes on the pool lock alone.
+        // already-durable case, and the pump takes no lane lock either —
+        // the media handoff serializes on the pool lock alone.
         let batch = self.config.log_pump_batch.max(1);
         let mut lagging = false;
         for (i, &target) in flush_to.iter().enumerate() {
-            let l = t * self.stride + i;
-            if self.watermarks[l].durable() >= target {
+            let log = &self.lanes[t * self.stride + i].log;
+            if log.durable_offset() >= target {
                 continue;
             }
-            if let Some(bank) = &self.log_banks[l] {
-                bank.pump(&mut self.pool.lock(), &self.clock, batch)?;
-                if bank.durable_offset() < target {
-                    lagging = true;
-                }
-            } else {
-                let mut shard = self.lock_lane(l);
-                if shard.log.durable_offset() < target {
-                    shard.log.pump(&mut self.pool.lock(), &self.clock, batch)?;
-                    if shard.log.durable_offset() < target {
-                        lagging = true;
-                    }
-                }
+            log.pump(&mut self.pool.lock(), &self.clock, batch)?;
+            if log.durable_offset() < target {
+                lagging = true;
             }
         }
         if lagging {
@@ -1574,10 +1419,8 @@ impl PaxDevice {
             }
             let lane = t * stride + addr.0 as usize % stride;
             let h = &self.lanes[lane];
-            // Lane (locked baseline only) before wb-gate: the gate
-            // serializes this drain's PM writes against the lane's
-            // background write-back consumer.
-            let _hot = self.hot_guard(lane);
+            // The gate serializes this drain's PM writes against the
+            // lane's background write-back consumer.
             let _gate = h.wb_gate.lock();
             h.count_wb_batch();
             tick(&self.clock, &mut self.pool.lock())?;
@@ -1611,11 +1454,7 @@ impl PaxDevice {
             // never happens, and the region filled up with committed
             // entries until spurious `LogFull`.)
             for (i, &target) in ds.flush_to.iter().enumerate() {
-                let l = t * self.stride + i;
-                match &self.log_banks[l] {
-                    Some(bank) => bank.recycle_to(target),
-                    None => self.lock_lane(l).log.recycle_to(target),
-                }
+                self.lanes[t * self.stride + i].log.recycle_to(target);
             }
             return Ok(Some(ds.epoch));
         }
@@ -1689,22 +1528,10 @@ impl PaxDevice {
             let flush_to = ds.flush_to[s];
             let lane = t * self.stride + s;
             let h = &self.lanes[lane];
-            let mut hot = self.hot_guard(lane);
             let _gate = h.wb_gate.lock();
-            while h.watermark.durable() < flush_to {
+            while h.log.durable_offset() < flush_to {
                 h.count_forced_flush();
-                let pumped = match (&self.log_banks[lane], hot.as_deref_mut()) {
-                    (Some(bank), _) => bank.pump(&mut self.pool.lock(), &self.clock, usize::MAX)?,
-                    (None, Some(shard)) => {
-                        shard.log.pump(&mut self.pool.lock(), &self.clock, usize::MAX)?
-                    }
-                    (None, None) => {
-                        return Err(PmError::ProtocolViolation {
-                            invariant: "locked-log lane pumped without the lane guard",
-                        })
-                    }
-                };
-                if pumped == 0 {
+                if h.log.pump(&mut self.pool.lock(), &self.clock, usize::MAX)? == 0 {
                     return Err(PmError::ProtocolViolation {
                         invariant: "draining epoch's undo entries are neither durable nor pending",
                     });
@@ -1727,10 +1554,7 @@ impl PaxDevice {
     /// `RdShared` service, shared by both [`HomeAgent`] impls.
     fn home_read_shared(&self, addr: LineAddr) -> Result<CacheLine> {
         let l = self.lane_of(addr)?;
-        {
-            let _hot = self.hot_guard(l);
-            self.lanes[l].count_rd_shared();
-        }
+        self.lanes[l].count_rd_shared();
         self.trace
             .record(COMPONENT, TraceEvent::Coherence { op: "rd_shared".into(), line: addr.0 });
         self.background(l)?;
@@ -1740,10 +1564,7 @@ impl PaxDevice {
     /// `RdOwn` service, shared by both [`HomeAgent`] impls.
     fn home_read_own(&self, addr: LineAddr) -> Result<CacheLine> {
         let l = self.lane_of(addr)?;
-        {
-            let _hot = self.hot_guard(l);
-            self.lanes[l].count_rd_own();
-        }
+        self.lanes[l].count_rd_own();
         self.trace.record(COMPONENT, TraceEvent::Coherence { op: "rd_own".into(), line: addr.0 });
         self.background(l)?;
         let old = self.resolve(l, addr)?;
@@ -1754,17 +1575,14 @@ impl PaxDevice {
         // thread also sees the lane state those commits published before
         // bumping the counter.
         let epoch = self.epochs[l / self.stride].load(Ordering::Acquire);
-        {
-            let h = &self.lanes[l];
-            let mut hot = self.hot_guard(l);
-            h.log_if_first(&self.trace, hot.as_deref_mut().map(|s| &mut s.log), epoch, addr, &old)?;
-            // The ownership grant is the directory's set point: from here
-            // the host plausibly holds the line modified. Gated so the
-            // disabled ablation leaves the directory (and its gauges)
-            // untouched.
-            if self.config.directory.enabled {
-                h.dir_note_owned(addr);
-            }
+        let h = &self.lanes[l];
+        h.log_if_first(&self.trace, epoch, addr, &old)?;
+        // The ownership grant is the directory's set point: from here
+        // the host plausibly holds the line modified. Gated so the
+        // disabled ablation leaves the directory (and its gauges)
+        // untouched.
+        if self.config.directory.enabled {
+            h.dir_note_owned(addr);
         }
         Ok(old)
     }
@@ -1772,7 +1590,6 @@ impl PaxDevice {
     /// Clean-eviction service, shared by both [`HomeAgent`] impls.
     fn home_clean_evict(&self, addr: LineAddr) {
         if let Ok(l) = self.lane_of(addr) {
-            let _hot = self.hot_guard(l);
             self.lanes[l].count_clean_evict();
             // Safe to untrack: Shared and Modified copies never coexist,
             // so a clean eviction means no core holds the line modified.
@@ -1785,13 +1602,10 @@ impl PaxDevice {
     /// Dirty-eviction service, shared by both [`HomeAgent`] impls.
     fn home_dirty_evict(&self, addr: LineAddr, data: CacheLine) -> Result<()> {
         let l = self.lane_of(addr)?;
-        {
-            let _hot = self.hot_guard(l);
-            self.lanes[l].count_dirty_evict();
-            // The host just handed its modified copy back: the line needs
-            // no persist-time snoop until the next `RdOwn`.
-            self.lanes[l].dir_clear(addr);
-        }
+        self.lanes[l].count_dirty_evict();
+        // The host just handed its modified copy back: the line needs no
+        // persist-time snoop until the next `RdOwn`.
+        self.lanes[l].dir_clear(addr);
         self.trace
             .record(COMPONENT, TraceEvent::Coherence { op: "dirty_evict".into(), line: addr.0 });
         self.background(l)?;
@@ -1801,7 +1615,6 @@ impl PaxDevice {
         self.drain_one_line_now(addr)?;
         let epoch = self.epochs[l / self.stride].load(Ordering::Acquire);
         let h = &self.lanes[l];
-        let mut hot = self.hot_guard(l);
         let offset = match h.epoch_offset_of(addr) {
             Some(o) => o,
             None => {
@@ -1815,13 +1628,7 @@ impl PaxDevice {
                     let abs = pm.layout().vpm_to_pool(addr.0)?;
                     pm.read_line(abs)?
                 };
-                h.log_if_first(
-                    &self.trace,
-                    hot.as_deref_mut().map(|s| &mut s.log),
-                    epoch,
-                    addr,
-                    &old,
-                )?
+                h.log_if_first(&self.trace, epoch, addr, &old)?
             }
         };
         // Insert-then-dispose keeps a dirty victim indexed until its PM
@@ -1832,7 +1639,6 @@ impl PaxDevice {
             &self.pool,
             &self.clock,
             &self.trace,
-            hot.as_deref_mut().map(|s| &mut s.log),
             addr,
             HbmLine { data, dirty: true, log_offset: Some(offset) },
         )?;
@@ -2380,6 +2186,10 @@ mod tests {
         assert_eq!(cache2.read(LineAddr(b), &mut device).unwrap(), CacheLine::filled(0xB2));
     }
 
+    /// Every labeled counter — `tenant{t}/` and `shard{s}/` alike — sums
+    /// to its plain total, after a 2-tenant run that donates idle pump
+    /// steps and skips a contended poll: both events must be charged to
+    /// a lane, not to the device-level registry no label covers.
     #[test]
     fn tenant_labels_conserve_counter_totals() {
         let (mut device, mut cache) = setup_tenants(2, 2);
@@ -2391,14 +2201,28 @@ mod tests {
             cache.write(LineAddr(b + i), CacheLine::filled(2), &mut device).unwrap();
         }
         device.persist_tenant(0, &mut cache).unwrap();
+        {
+            // A persist barrier on another thread holds tenant 1's ctl.
+            let _ctl = lock(&device.draining[1]);
+            device.persist_poll_try().unwrap();
+        }
         let snap = device.metric_snapshot();
         assert_eq!(snap.counter("tenants"), 2);
-        for name in ["rd_own", "undo_entries", "persists", "device_writebacks"] {
-            assert_eq!(
-                snap.counter(&format!("tenant0/{name}")) + snap.counter(&format!("tenant1/{name}")),
-                snap.counter(name),
-                "{name} must conserve across tenant labels"
-            );
+        assert!(snap.counter("sched_idle_steps") > 0, "the run must donate idle steps");
+        assert_eq!(snap.counter("persist_poll_skipped"), 1);
+        for label in ["tenant", "shard"] {
+            let mut sums: HashMap<&str, u64> = HashMap::new();
+            for (name, v) in snap.counters() {
+                if let Some(base) =
+                    name.strip_prefix(label).and_then(|rest| rest.split_once('/')).map(|(_, b)| b)
+                {
+                    *sums.entry(base).or_default() += v;
+                }
+            }
+            assert!(sums.len() > 20, "every lane counter carries {label} labels");
+            for (name, sum) in sums {
+                assert_eq!(sum, snap.counter(name), "{name} must conserve across {label} labels");
+            }
         }
         assert_eq!(snap.counter("tenant0/undo_entries"), 4);
         assert_eq!(snap.counter("tenant1/undo_entries"), 2);
@@ -2622,7 +2446,8 @@ mod tests {
     /// lets go, so the async drain commits instead of starving.
     #[test]
     fn contended_poll_counts_skips_and_drains_after_release() {
-        let (mut device, mut cache) = setup_cfg(DeviceConfig::default().with_poll_skip_limit(4), 1);
+        // Two shards, so the labeled `shard{s}/` rollup exists to check.
+        let (mut device, mut cache) = setup_cfg(DeviceConfig::default().with_poll_skip_limit(4), 2);
         for i in 0..6u64 {
             cache.write(LineAddr(i), CacheLine::filled(i as u8), &mut device).unwrap();
         }
@@ -2636,6 +2461,14 @@ mod tests {
             let m = device.metrics();
             assert_eq!(m.persist_poll_skipped, 6, "every contended poll must be counted");
             assert_eq!(device.poll_skips[0].load(Ordering::Relaxed), 6, "streak armed");
+            // The skips land on a lane, so the labeled rollup carries them.
+            let snap = device.metric_snapshot();
+            assert_eq!(
+                snap.counter("shard0/persist_poll_skipped")
+                    + snap.counter("shard1/persist_poll_skipped"),
+                6,
+                "labeled skips must sum to the total"
+            );
         }
         // Holder gone: the next poll takes the fast path, resets the
         // streak, and the drain advances to commit.
@@ -2646,82 +2479,64 @@ mod tests {
         assert_eq!(device.committed_epoch().unwrap(), epoch);
     }
 
-    /// The two undo-bank engines must drive the machine identically in
-    /// single-driver mode: same metrics, same durable epoch, same media
-    /// state. (`tests/lockfree_log.rs` proves the byte-level half across
-    /// random seeds; this is the quick in-crate smoke check.)
+    /// A fixed single-driver schedule (stores, ticks, persist) pinned to
+    /// literal telemetry. The mutex-guarded undo log and the mutex-era
+    /// HBM lane engine both produced exactly these values before they
+    /// were retired; `tests/hbm_lockfree.rs` pins the same contract
+    /// byte-for-byte across many seeded schedules.
     #[test]
     fn cas_and_locked_engines_tick_identically() {
-        let run = |config: DeviceConfig| {
-            let pool = PmPool::create(PoolConfig::small()).unwrap();
-            let mut device = PaxDevice::open(pool, config.with_shards(2)).unwrap();
-            let mut cache = CoherentCache::new(CacheConfig::tiny(16 << 10, 8));
-            for i in 0..32u64 {
-                cache.write(LineAddr(i % 11), CacheLine::filled(i as u8), &mut device).unwrap();
-            }
-            device.tick(8).unwrap();
-            device.persist(&mut cache).unwrap();
-            (device.metrics(), device.committed_epoch().unwrap())
+        let pool = PmPool::create(PoolConfig::small()).unwrap();
+        let mut device = PaxDevice::open(pool, DeviceConfig::default().with_shards(2)).unwrap();
+        let mut cache = CoherentCache::new(CacheConfig::tiny(16 << 10, 8));
+        for i in 0..32u64 {
+            cache.write(LineAddr(i % 11), CacheLine::filled(i as u8), &mut device).unwrap();
+        }
+        device.tick(8).unwrap();
+        device.persist(&mut cache).unwrap();
+        let expected = DeviceMetrics {
+            rd_own: 11,
+            undo_entries: 11,
+            snoops_sent: 11,
+            snoop_data_returned: 11,
+            device_writebacks: 11,
+            persists: 1,
+            pm_reads: 11,
+            hbm_misses: 11,
+            hbm_resident: 11,
+            sched_ticks: 8,
+            sched_idle_steps: 10,
+            dir_hits: 11,
+            wb_batches: 2,
+            ..DeviceMetrics::default()
         };
-        let cas = run(DeviceConfig::default().with_cas_log());
-        let locked = run(DeviceConfig::default().with_locked_log());
-        assert_eq!(cas, locked);
+        assert_eq!(device.metrics(), expected);
+        assert_eq!(device.committed_epoch().unwrap(), 1);
     }
 
-    /// Same twin-engine check for the HBM index: the concurrent set
-    /// index and the mutex-era engine must drive the machine identically
-    /// in single-driver mode. (`tests/hbm_lockfree.rs` proves the
-    /// byte-level half across random seeds.)
-    #[test]
-    fn lockfree_and_locked_hbm_tick_identically() {
-        let run = |config: DeviceConfig| {
-            let pool = PmPool::create(PoolConfig::small()).unwrap();
-            let mut device = PaxDevice::open(pool, config.with_shards(2)).unwrap();
-            let mut cache = CoherentCache::new(CacheConfig::tiny(16 << 10, 8));
-            for i in 0..32u64 {
-                cache.write(LineAddr(i % 11), CacheLine::filled(i as u8), &mut device).unwrap();
-            }
-            device.tick(8).unwrap();
-            device.persist(&mut cache).unwrap();
-            (device.metrics(), device.committed_epoch().unwrap())
-        };
-        let lockfree = run(DeviceConfig::default().with_lockfree_hbm());
-        let locked = run(DeviceConfig::default().with_locked_hbm());
-        assert_eq!(lockfree, locked);
-    }
-
-    /// The ISSUE's acceptance bar: a warm same-lane store takes **no**
-    /// `Mutex<DeviceShard>` acquisition under the default (lock-free)
-    /// engine, and still does under the `with_locked_hbm` baseline.
-    /// Drives `read_own` through the `&PaxDevice` home agent directly —
-    /// a host cache would keep the lines in M state and hide the device
-    /// hot path entirely.
+    /// A warm same-lane store takes **no** `Mutex<DeviceShard>`
+    /// acquisition. Drives `read_own` through the `&PaxDevice` home
+    /// agent directly — a host cache would keep the lines in M state and
+    /// hide the device hot path entirely.
     #[test]
     fn store_hit_path_takes_no_lane_lock() {
-        let run = |config: DeviceConfig| -> u64 {
-            let pool = PmPool::create(PoolConfig::small()).unwrap();
-            let device = PaxDevice::open(pool, config).unwrap();
-            let mut home = &device;
-            // Warm: first touch of each line misses HBM and may evict.
+        let pool = PmPool::create(PoolConfig::small()).unwrap();
+        let device = PaxDevice::open(pool, DeviceConfig::default()).unwrap();
+        let mut home = &device;
+        // Warm: first touch of each line misses HBM and may evict.
+        for i in 0..16u64 {
+            home.read_own(LineAddr(i)).unwrap();
+        }
+        let before = device.lane_lock_acquisitions();
+        for _ in 0..4 {
             for i in 0..16u64 {
                 home.read_own(LineAddr(i)).unwrap();
             }
-            let before = device.lane_lock_acquisitions();
-            for _ in 0..4 {
-                for i in 0..16u64 {
-                    home.read_own(LineAddr(i)).unwrap();
-                }
-            }
-            device.lane_lock_acquisitions() - before
-        };
+        }
         assert_eq!(
-            run(DeviceConfig::default().with_cas_log().with_lockfree_hbm()),
+            device.lane_lock_acquisitions() - before,
             0,
-            "lockfree store hit path must not touch the lane mutex"
-        );
-        assert!(
-            run(DeviceConfig::default().with_locked_hbm()) > 0,
-            "locked baseline keeps the lane mutex on the hot path"
+            "store hit path must not touch the lane mutex"
         );
     }
 
@@ -2731,8 +2546,7 @@ mod tests {
     #[test]
     fn concurrent_same_lane_stores_preserve_telemetry_conservation() {
         let pool = PmPool::create(PoolConfig::small()).unwrap();
-        let config = DeviceConfig::default().with_cas_log().with_lockfree_hbm();
-        let device = PaxDevice::open(pool, config).unwrap();
+        let device = PaxDevice::open(pool, DeviceConfig::default()).unwrap();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {

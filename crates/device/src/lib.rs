@@ -76,4 +76,4 @@ pub use recovery::{recover, recover_traced, RecoveryReport};
 pub use sched::{DeviceScheduler, SchedConfig};
 pub use shard::DeviceShard;
 pub use tenant::{even_split, TenantId, TenantMap, TenantRegion};
-pub use undo_log::{AtomicBank, LogWatermark, UndoEntry, UndoLog, ENTRY_LINES};
+pub use undo_log::{UndoEntry, UndoLog, ENTRY_LINES};

@@ -21,19 +21,18 @@
 //! — flush every bank, snoop, write back, then one atomic `commit_epoch`
 //! — so sharding changes concurrency, never crash-consistency semantics.
 //!
-//! # Lane handles (PR 10)
+//! # Lane handles
 //!
-//! Since PR 10 a lane's hot-path state — the concurrent HBM index, the
-//! striped epoch-log map, the write-back queue, the ownership directory,
-//! and the metric registry — lives behind `Arc`s collected in
-//! [`LaneHandles`]. The [`PaxDevice`] keeps one clone per lane *outside*
-//! the lane mutex, so `RdShared`/`RdOwn`/eviction traffic and the
-//! persist sweep on the same lane proceed without ever acquiring
-//! `Mutex<DeviceShard>`. The mutex now guards only what genuinely needs
-//! exclusivity: the locked-mode undo log (`&mut UndoLog`) and
-//! recovery/snapshot-time state sync. Write-back *drains* serialize on
-//! the lane's [`WbGate`](crate::cell::WbGate) instead. See DESIGN.md
-//! §15 for the full protocol and ordering invariants.
+//! A lane's hot-path state — the concurrent HBM index, the lock-free
+//! undo log, the striped epoch-log map, the write-back queue, the
+//! ownership directory, and the metric registry — lives behind `Arc`s
+//! collected in [`LaneHandles`]. The [`PaxDevice`] keeps one clone per
+//! lane *outside* the lane mutex, so `RdShared`/`RdOwn`/eviction traffic
+//! and the persist sweep on the same lane proceed without ever acquiring
+//! `Mutex<DeviceShard>`. The mutex guards only the background write-back
+//! step, epoch reset, and snapshot-time metric sync. Write-back *drains*
+//! serialize on the lane's [`WbGate`](crate::cell::WbGate). See
+//! DESIGN.md §15 for the full protocol and ordering invariants.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,7 +46,7 @@ use crate::cell::{lock, PoolCell, TraceCell, WbGate};
 use crate::directory::OwnershipDirectory;
 use crate::hbm::{HbmCache, HbmConfig, HbmLine};
 use crate::metrics::{DeviceCounters, DeviceMetrics};
-use crate::undo_log::{AtomicBank, LogWatermark, UndoEntry, UndoLog, ENTRY_LINES};
+use crate::undo_log::{UndoEntry, UndoLog, ENTRY_LINES};
 
 /// Component name stamped on every shard's metrics and trace records —
 /// identical to the device's, so merged snapshots stay one `device` row.
@@ -84,8 +83,7 @@ impl EpochLog {
     /// Returns `addr`'s existing offset, or runs `make` (the log append)
     /// under the stripe lock and records its result. `make` must not
     /// acquire any lock that can wait on an `EpochLog` stripe — the
-    /// CAS-bank append and the locked-mode append (which requires the
-    /// lane mutex, ordered *before* stripes) both qualify.
+    /// lock-free undo-log append qualifies.
     pub(crate) fn try_insert(
         &self,
         addr: LineAddr,
@@ -180,11 +178,6 @@ impl WbQueue {
 /// a store or persist sweep touches without the lane mutex (module
 /// docs). Cloning is cheap; the [`PaxDevice`] keeps one clone per lane
 /// alongside (not inside) the `Mutex<DeviceShard>`.
-///
-/// The only lane state *not* here is the [`UndoLog`]: in the default
-/// CAS mode its `AtomicBank`/watermark `Arc`s **are** here (`bank`,
-/// `watermark`), and in locked-log mode callers pass
-/// `Option<&mut UndoLog>` obtained from the lane guard.
 #[derive(Debug, Clone)]
 pub(crate) struct LaneHandles {
     /// The tenant (pool context) this lane belongs to.
@@ -211,12 +204,9 @@ pub(crate) struct LaneHandles {
     pub(crate) ctr: DeviceCounters,
     /// Serializes this lane's write-back drains (see module docs).
     pub(crate) wb_gate: Arc<WbGate>,
-    /// The lane's durable log watermark — shared with the `UndoLog` in
-    /// both engine modes, so `watermark.durable()` always equals
-    /// `log.durable_offset()`.
-    pub(crate) watermark: Arc<LogWatermark>,
-    /// The CAS undo bank (`None` in locked-log mode).
-    pub(crate) bank: Option<Arc<AtomicBank>>,
+    /// The lane's undo-log bank: appends, pumps and durable-watermark
+    /// reads are all `&self` and lock-free.
+    pub(crate) log: Arc<UndoLog>,
 }
 
 impl LaneHandles {
@@ -358,23 +348,18 @@ impl LaneHandles {
     /// Inserts `addr` into HBM, disposing of any evicted victim *inside
     /// the set's critical section* — the victim is never absent from the
     /// index while its dirty data is still in flight to PM.
-    ///
-    /// `locked_log` is the lane-guard log borrow for locked-log mode
-    /// (`None` under the default CAS engine, whose bank handle lives in
-    /// `self.bank`).
     pub(crate) fn hbm_insert_disposing(
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
-        locked_log: Option<&mut UndoLog>,
         addr: LineAddr,
         line: HbmLine,
     ) -> Result<()> {
-        let durable = self.watermark.durable();
+        let durable = self.log.durable_offset();
         let key = self.hbm_key(addr);
         match self.hbm.insert_then(key, line, durable, |vlocal, vline| {
-            self.dispose_victim(pool, clock, trace, locked_log, self.hbm_unkey(vlocal), vline)
+            self.dispose_victim(pool, clock, trace, self.hbm_unkey(vlocal), vline)
         }) {
             Some(res) => res,
             None => Ok(()),
@@ -390,22 +375,20 @@ impl LaneHandles {
     /// * miss-path read refresh (`if_absent = true`): the PM copy the
     ///   reader fetched is *stale* relative to any concurrently inserted
     ///   dirty line, so an existing entry must win.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn hbm_refresh_clean(
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
-        locked_log: Option<&mut UndoLog>,
         addr: LineAddr,
         data: CacheLine,
         if_absent: bool,
     ) -> Result<()> {
-        let durable = self.watermark.durable();
+        let durable = self.log.durable_offset();
         let key = self.hbm_key(addr);
         let line = HbmLine { data, dirty: false, log_offset: None };
         let dispose = |vlocal: LineAddr, vline: HbmLine| {
-            self.dispose_victim(pool, clock, trace, locked_log, self.hbm_unkey(vlocal), vline)
+            self.dispose_victim(pool, clock, trace, self.hbm_unkey(vlocal), vline)
         };
         let disposed = if if_absent {
             self.hbm.insert_clean_if_absent_then(key, line, durable, dispose)
@@ -429,7 +412,6 @@ impl LaneHandles {
         cache_clean_reads: bool,
         drain_value: Option<CacheLine>,
         addr: LineAddr,
-        locked_log: Option<&mut UndoLog>,
     ) -> Result<CacheLine> {
         if let Some(l) = self.hbm_lookup(addr) {
             self.metrics.inc(self.ctr.hbm_read_hits);
@@ -450,7 +432,7 @@ impl LaneHandles {
             // if_absent: a concurrent RdOwn may have inserted a dirty
             // line for this address since the PM read above — the stale
             // clean copy must not clobber it.
-            self.hbm_refresh_clean(pool, clock, trace, locked_log, addr, data.clone(), true)?;
+            self.hbm_refresh_clean(pool, clock, trace, addr, data.clone(), true)?;
         }
         Ok(data)
     }
@@ -462,7 +444,6 @@ impl LaneHandles {
     pub(crate) fn log_if_first(
         &self,
         trace: &TraceCell,
-        locked_log: Option<&mut UndoLog>,
         epoch: u64,
         addr: LineAddr,
         old: &CacheLine,
@@ -470,15 +451,7 @@ impl LaneHandles {
         self.epoch_log.try_insert(addr, || {
             let entry =
                 UndoEntry { epoch, vpm_line: addr, tenant: self.tenant as u32, old: old.clone() };
-            let offset = match (&self.bank, locked_log) {
-                (Some(bank), _) => bank.append(entry)?,
-                (None, Some(log)) => log.append(entry)?,
-                (None, None) => {
-                    return Err(PmError::ProtocolViolation {
-                        invariant: "locked-log lane appended without the lane guard",
-                    })
-                }
-            };
+            let offset = self.log.append(entry)?;
             self.metrics.inc(self.ctr.undo_entries);
             trace.record(COMPONENT, TraceEvent::LogAppend { epoch, line: addr.0 });
             Ok(offset)
@@ -500,7 +473,6 @@ impl LaneHandles {
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
-        mut locked_log: Option<&mut UndoLog>,
         addr: LineAddr,
         line: HbmLine,
     ) -> Result<()> {
@@ -508,22 +480,13 @@ impl LaneHandles {
             return Ok(());
         }
         if let Some(offset) = line.log_offset {
-            if offset >= self.watermark.durable() {
+            if offset >= self.log.durable_offset() {
                 // §3.3: the victim's pre-image must be durable before the
                 // new value may reach PM. This is the stall PreferDurable
                 // eviction avoids.
                 self.metrics.inc(self.ctr.forced_log_flushes);
-                while self.watermark.durable() <= offset {
-                    let pumped = match (&self.bank, locked_log.as_deref_mut()) {
-                        (Some(bank), _) => bank.pump(&mut pool.lock(), clock, 1)?,
-                        (None, Some(log)) => log.pump(&mut pool.lock(), clock, 1)?,
-                        (None, None) => {
-                            return Err(PmError::ProtocolViolation {
-                                invariant: "locked-log lane pumped without the lane guard",
-                            })
-                        }
-                    };
-                    if pumped == 0 {
+                while self.log.durable_offset() <= offset {
+                    if self.log.pump(&mut pool.lock(), clock, 1)? == 0 {
                         return Err(PmError::ProtocolViolation {
                             invariant: "HBM victim's undo entry is neither durable nor pending",
                         });
@@ -555,9 +518,9 @@ impl LaneHandles {
 /// flush, commit, and recycle without touching another's. A
 /// single-tenant device's lanes are exactly its shards.
 ///
-/// Hot-path state lives in shared [`LaneHandles`] (`self.h`); the struct
-/// behind the lane mutex keeps only the [`UndoLog`] (whose locked-mode
-/// backing needs `&mut`) and snapshot-sync bookkeeping.
+/// All lane state lives in shared [`LaneHandles`] (`self.h`); the lane
+/// mutex around a `DeviceShard` serializes only the background
+/// write-back step, epoch reset, and snapshot-time metric sync.
 #[derive(Debug)]
 pub struct DeviceShard {
     /// This lane's index within the device (`tenant * interleave +
@@ -565,8 +528,6 @@ pub struct DeviceShard {
     index: u64,
     /// Shared hot-path handles; the device clones these out at open.
     pub(crate) h: LaneHandles,
-    /// This shard's undo-log bank.
-    pub(crate) log: UndoLog,
 }
 
 impl DeviceShard {
@@ -585,7 +546,6 @@ impl DeviceShard {
         hbm: HbmConfig,
         log_base: u64,
         log_capacity_entries: u64,
-        locked_log: bool,
     ) -> Self {
         let per_lane = HbmConfig {
             capacity_bytes: hbm.capacity_bytes.max(hbm.ways * pax_pm::LINE_SIZE),
@@ -593,7 +553,6 @@ impl DeviceShard {
         };
         let mut metrics = MetricSet::new(COMPONENT);
         let ctr = DeviceCounters::register(&mut metrics);
-        let log = UndoLog::with_region_mode(log_base, log_capacity_entries, locked_log);
         let h = LaneHandles {
             tenant,
             phase: (index % stride.max(1)) as u64,
@@ -605,10 +564,9 @@ impl DeviceShard {
             metrics: Arc::new(metrics),
             ctr,
             wb_gate: Arc::new(WbGate::default()),
-            watermark: log.watermark(),
-            bank: log.bank(),
+            log: Arc::new(UndoLog::with_region(log_base, log_capacity_entries)),
         };
-        DeviceShard { index: index as u64, h, log }
+        DeviceShard { index: index as u64, h }
     }
 
     /// A clone of this lane's shared hot-path handles, for the device to
@@ -641,19 +599,17 @@ impl DeviceShard {
         self.h.ctr.view(&self.h.metrics)
     }
 
-    /// Reconciles the CAS bank's internal contention telemetry into the
+    /// Reconciles the undo log's internal contention telemetry into the
     /// lane's registry: `log_cas_retries` is monotone (add the delta),
     /// `log_reserved` is a gauge (snap to the current in-flight count).
-    /// A locked-engine lane reports both as zero.
     fn sync_log_metrics(&mut self) {
-        let Some(bank) = self.log.bank() else { return };
         let metrics = &self.h.metrics;
-        let retries = bank.cas_retries();
+        let retries = self.h.log.cas_retries();
         let seen = metrics.get(self.h.ctr.log_cas_retries);
         if retries > seen {
             metrics.add(self.h.ctr.log_cas_retries, retries - seen);
         }
-        let reserved = bank.in_flight();
+        let reserved = self.h.log.in_flight();
         let shown = metrics.get(self.h.ctr.log_reserved);
         match reserved.cmp(&shown) {
             std::cmp::Ordering::Greater => metrics.add(self.h.ctr.log_reserved, reserved - shown),
@@ -699,7 +655,7 @@ impl DeviceShard {
 
     /// This shard's durable log watermark.
     pub fn log_durable_offset(&self) -> u64 {
-        self.log.durable_offset()
+        self.h.log.durable_offset()
     }
 
     /// HBM insert, in global address space; the victim (if any) comes
@@ -718,57 +674,23 @@ impl DeviceShard {
         victim.map(|(local, l)| (self.h.hbm_unkey(local), l))
     }
 
-    /// Lane-guard delegate of [`LaneHandles::dispose_victim`] (test-path
-    /// helper; hot paths pass the guard's log explicitly).
-    #[cfg(test)]
-    pub(crate) fn dispose_victim(
-        &mut self,
-        pool: &PoolCell,
-        clock: &CrashClock,
-        trace: &TraceCell,
-        addr: LineAddr,
-        line: HbmLine,
-    ) -> Result<()> {
-        let h = self.h.clone();
-        h.dispose_victim(pool, clock, trace, Some(&mut self.log), addr, line)
-    }
-
-    /// Lane-guard delegate of [`LaneHandles::log_if_first`] (test-path
-    /// helper; hot paths pass the guard's log explicitly).
-    #[cfg(test)]
-    pub(crate) fn log_if_first(
-        &mut self,
-        trace: &TraceCell,
-        epoch: u64,
-        addr: LineAddr,
-        old: &CacheLine,
-    ) -> Result<u64> {
-        let h = self.h.clone();
-        h.log_if_first(trace, Some(&mut self.log), epoch, addr, old)
-    }
-
-    /// One background step for this shard's free-running engines: drain
-    /// some log entries, then opportunistically write back dirty lines
-    /// whose entries are durable. The write-back loop holds the lane's
-    /// [`WbGate`](crate::cell::WbGate) so persist-path drains never
-    /// interleave with it.
+    /// One background write-back step: opportunistically write back
+    /// dirty lines whose undo entries are durable. The loop holds the
+    /// lane's [`WbGate`](crate::cell::WbGate) so persist-path drains
+    /// never interleave with it.
     pub(crate) fn background(
         &mut self,
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
-        log_pump_batch: usize,
         writeback_batch: usize,
     ) -> Result<()> {
-        if log_pump_batch > 0 && self.log.pending_len() > 0 {
-            self.log.pump(&mut pool.lock(), clock, log_pump_batch)?;
-        }
         let h = self.h.clone();
         let _gate = h.wb_gate.lock();
         let mut budget = writeback_batch;
         while budget > 0 {
             let Some(addr) = h.writeback_queue.front() else { break };
-            let durable = h.watermark.durable();
+            let durable = h.log.durable_offset();
             let ready = match h.hbm_peek(addr) {
                 Some(l) if l.dirty => l.log_offset.is_none_or(|o| o < durable),
                 // Cleaned or evicted through another path; just drop it.
@@ -805,7 +727,7 @@ impl DeviceShard {
     pub(crate) fn reset_after_commit(&mut self) {
         self.h.epoch_log.clear();
         self.h.writeback_queue.clear();
-        self.log.reset_after_commit();
+        self.h.log.reset_after_commit();
     }
 
     /// Drops all volatile state (power loss). The ownership directory is
@@ -813,7 +735,7 @@ impl DeviceShard {
     /// depended on it.
     pub(crate) fn crash(&mut self) {
         self.h.hbm.crash();
-        self.log.crash();
+        self.h.log.crash();
         self.h.epoch_log.clear();
         self.h.writeback_queue.clear();
         self.h.metrics.sub(self.h.ctr.dir_resident, self.h.directory.resident() as u64);
@@ -852,8 +774,8 @@ mod tests {
         let pool = PmPool::create(PoolConfig::small()).unwrap();
         let banks = split_log_region(&pool, 2);
         let hbm = HbmConfig::default_config();
-        let a = DeviceShard::new(0, 0, 2, hbm, banks[0].0, banks[0].1, false);
-        let b = DeviceShard::new(1, 0, 2, hbm, banks[1].0, banks[1].1, false);
+        let a = DeviceShard::new(0, 0, 2, hbm, banks[0].0, banks[0].1);
+        let b = DeviceShard::new(1, 0, 2, hbm, banks[1].0, banks[1].1);
         (pool, a, b)
     }
 
@@ -899,7 +821,6 @@ mod tests {
             HbmConfig { capacity_bytes: 2 * 128, ways: 2, policy: EvictionPolicy::Lru },
             0,
             64,
-            false,
         );
         // Shard capacity: 4 lines (2 sets × 2 ways) — the per-lane slice
         // the device would hand this lane of a 4-line-per-lane buffer.
@@ -921,12 +842,12 @@ mod tests {
         // The pinned invariant: a dirty victim whose covering log offset
         // is neither durable nor pending is corrupt state. The drain loop
         // must surface it, not spin forever pumping an empty buffer.
-        let (pool, mut a, _b) = shard_pair();
+        let (pool, a, _b) = shard_pair();
         let pool = PoolCell::new(pool);
         let clock = CrashClock::new();
         let trace = TraceCell::new(pax_telemetry::TraceBuf::disabled());
         let line = HbmLine { data: CacheLine::filled(1), dirty: true, log_offset: Some(99) };
-        let err = a.dispose_victim(&pool, &clock, &trace, LineAddr(0), line).unwrap_err();
+        let err = a.h.dispose_victim(&pool, &clock, &trace, LineAddr(0), line).unwrap_err();
         assert!(
             matches!(err, PmError::ProtocolViolation { .. }),
             "expected a protocol-invariant error, got {err}"
@@ -935,14 +856,14 @@ mod tests {
 
     #[test]
     fn dispose_victim_drains_pending_entry_then_writes_back() {
-        let (pool, mut a, _b) = shard_pair();
+        let (pool, a, _b) = shard_pair();
         let pool = PoolCell::new(pool);
         let clock = CrashClock::new();
         let trace = TraceCell::new(pax_telemetry::TraceBuf::disabled());
-        let off = a.log_if_first(&trace, 1, LineAddr(0), &CacheLine::zeroed()).unwrap();
+        let off = a.h.log_if_first(&trace, 1, LineAddr(0), &CacheLine::zeroed()).unwrap();
         let line = HbmLine { data: CacheLine::filled(7), dirty: true, log_offset: Some(off) };
-        a.dispose_victim(&pool, &clock, &trace, LineAddr(0), line).unwrap();
-        assert!(a.log.durable_offset() > off, "covering entry was drained first");
+        a.h.dispose_victim(&pool, &clock, &trace, LineAddr(0), line).unwrap();
+        assert!(a.log_durable_offset() > off, "covering entry was drained first");
         let mut pool = pool.into_inner();
         let abs = pool.layout().vpm_to_pool(0).unwrap();
         assert_eq!(pool.read_line(abs).unwrap(), CacheLine::filled(7));
@@ -950,16 +871,16 @@ mod tests {
 
     #[test]
     fn shard_banks_append_independently() {
-        let (mut pool, mut a, mut b) = shard_pair();
+        let (mut pool, a, b) = shard_pair();
         let clock = CrashClock::new();
         let trace = TraceCell::new(pax_telemetry::TraceBuf::disabled());
-        a.log_if_first(&trace, 1, LineAddr(0), &CacheLine::filled(1)).unwrap();
-        b.log_if_first(&trace, 1, LineAddr(1), &CacheLine::filled(2)).unwrap();
-        b.log_if_first(&trace, 1, LineAddr(3), &CacheLine::filled(3)).unwrap();
-        a.log.flush(&mut pool, &clock).unwrap();
-        b.log.flush(&mut pool, &clock).unwrap();
-        assert_eq!(a.log.durable_offset(), 1);
-        assert_eq!(b.log.durable_offset(), 2);
+        a.h.log_if_first(&trace, 1, LineAddr(0), &CacheLine::filled(1)).unwrap();
+        b.h.log_if_first(&trace, 1, LineAddr(1), &CacheLine::filled(2)).unwrap();
+        b.h.log_if_first(&trace, 1, LineAddr(3), &CacheLine::filled(3)).unwrap();
+        a.h.log.flush(&mut pool, &clock).unwrap();
+        b.h.log.flush(&mut pool, &clock).unwrap();
+        assert_eq!(a.log_durable_offset(), 1);
+        assert_eq!(b.log_durable_offset(), 2);
         // Every entry is visible to the (global) recovery scan.
         assert_eq!(UndoLog::scan(&mut pool).unwrap().len(), 3);
     }

@@ -23,25 +23,17 @@
 //!    committing epoch N frees exactly N's slots, even while epoch N+1 is
 //!    already appending.
 //!
-//! # Two append engines, one contract
+//! # The append engine
 //!
-//! The volatile tail has two interchangeable implementations:
-//!
-//! * **Locked** — the original `VecDeque` guarded by whatever lock guards
-//!   the writer (the lane mutex in the device). Kept as the differential
-//!   baseline behind `DeviceConfig::with_locked_log` / the `locked-log`
-//!   cargo feature.
-//! * **CAS** ([`AtomicBank`], the default) — a lock-free llfree-style
-//!   reserve-then-fill ring: a CAS on one packed tail word reserves a
-//!   slot, the entry is filled, then *release-published* via a per-slot
-//!   ready word; the pump consumes a contiguous published prefix with an
-//!   acquire scan. Concurrent appenders never serialize on a mutex, and
-//!   the pump's media handoff needs no lane lock at all.
-//!
-//! Under a single driving thread the two engines issue the *identical*
-//! sequence of media writes and crash-clock ticks (`tests/determinism.rs`
-//! pins it; `tests/lockfree_log.rs` proves byte-identical durable state
-//! differentially).
+//! The volatile tail is a lock-free llfree-style reserve-then-fill ring:
+//! a CAS on one packed tail word reserves a slot, the entry is filled,
+//! then *release-published* via a per-slot ready word; the pump consumes
+//! a contiguous published prefix with an acquire scan. Every method takes
+//! `&self`, so concurrent appenders never serialize on a mutex, and the
+//! pump's media handoff needs no lane lock at all. Under a single driving
+//! thread the sequence of media writes and crash-clock ticks is fixed by
+//! the call sequence (`tests/determinism.rs` and `tests/lockfree_log.rs`
+//! pin it).
 //!
 //! # On-media format
 //!
@@ -57,43 +49,18 @@
 //! the commit mark — so recovery can detect (and safely skip) entries
 //! torn by a crash mid-append: a torn entry's data write back cannot have
 //! happened — write back is gated on the entry being durable — so
-//! skipping it is always sound. The commit mark exists for the CAS
-//! engine: a slot that was *reserved* but never *published* at the moment
-//! of a crash never reaches media at all (the pump only drains published
+//! skipping it is always sound. The commit mark guards reservations: a
+//! slot that was *reserved* but never *published* at the moment of a
+//! crash never reaches media at all (the pump only drains published
 //! slots), so whatever the slot's media lines hold is either a stale
 //! committed entry or garbage that fails the magic/commit/checksum
 //! gauntlet — reserved-but-unready slots are structurally invisible to
 //! recovery.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 use pax_pm::{CacheLine, CrashOutcome, LineAddr, PmError, PmPool, Result, LINE_SIZE};
-
-/// The durable watermark of one [`UndoLog`], shared out-of-band.
-///
-/// The watermark is the llfree-style atomic that lets readers order
-/// against the log *without* taking the lane lock that guards the
-/// writer: `pump` publishes with a release store **after** the entry's
-/// two lines are durably in the pool, and [`LogWatermark::durable`]
-/// reads with an acquire load — so any offset a reader observes is
-/// backed by media. `persist_poll`'s fast path uses this to skip
-/// already-durable banks lock-free.
-#[derive(Debug, Default)]
-pub struct LogWatermark(AtomicU64);
-
-impl LogWatermark {
-    /// Entries known durable (acquire; pairs with the release store in
-    /// the pump after the media drain).
-    pub fn durable(&self) -> u64 {
-        self.0.load(Ordering::Acquire)
-    }
-
-    fn publish(&self, durable: u64) {
-        self.0.store(durable, Ordering::Release);
-    }
-}
 
 /// Lines per undo-log entry (header + pre-image).
 pub const ENTRY_LINES: u64 = 2;
@@ -188,15 +155,16 @@ const TAIL_MASK: u64 = (1 << 48) - 1;
 /// One reservation in flight, in the high 16 bits of the packed word.
 const INFLIGHT_UNIT: u64 = 1 << 48;
 
-/// A 64-byte-aligned atomic so the hot tail word and the recycle
-/// watermark never share a cache line with each other (or a neighbor) —
-/// false sharing between appenders and recyclers would serialize the very
-/// path the CAS exists to scale.
+/// A 64-byte-aligned atomic so the hot tail word, the recycle watermark
+/// and the durable watermark never share a cache line with each other
+/// (or a neighbor) — false sharing between appenders, recyclers and
+/// watermark readers would serialize the very path the CAS exists to
+/// scale.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct PaddedAtomicU64(AtomicU64);
 
-/// One reserve-then-fill slot of an [`AtomicBank`].
+/// One reserve-then-fill slot of an [`UndoLog`].
 ///
 /// `ready == 0` means empty; `ready == offset + 1` means the pre-image
 /// for logical offset `offset` is published (the `+1` keeps 0 free for
@@ -214,8 +182,10 @@ struct Slot {
     entry: Mutex<Option<Box<UndoEntry>>>,
 }
 
-/// Lock-free undo-bank tail: CAS reservation on a packed head/tail word,
-/// per-slot release publication, acquire-scan consumption (llfree-style).
+/// The device's undo-log writer over (a slice of) the pool's log region:
+/// CAS reservation on a packed head/tail word, per-slot release
+/// publication, acquire-scan consumption (llfree-style), and a durable
+/// watermark readers can order against without any lock.
 ///
 /// All methods take `&self`. The protocol, in memory-ordering terms:
 ///
@@ -223,8 +193,8 @@ struct Slot {
 ///    and bumps the in-flight count (one word so the `log_reserved`
 ///    gauge is exact). The fullness check `tail − recycled ≥ capacity`
 ///    loads `recycled` with *acquire*, pairing with the *release*
-///    `fetch_max` in [`AtomicBank::recycle_to`]; transitively (see step
-///    4) the reservation happens-after the pump finished with the slot's
+///    `fetch_max` in [`UndoLog::recycle_to`]; transitively (see step 4)
+///    the reservation happens-after the pump finished with the slot's
 ///    previous lap, so overwriting it is safe.
 /// 2. **Fill** — the appender writes the entry into slot `o % capacity`
 ///    (uncontended by construction).
@@ -235,11 +205,12 @@ struct Slot {
 ///    `&mut PmPool`, and the device's media pool sits behind one mutex)
 ///    scans the contiguous published prefix from the durable watermark
 ///    with `ready.load(Acquire)`, writes both lines to media, clears
-///    `ready`, drains, then `durable.publish(o + 1)` (release). Commit
+///    `ready`, drains, then publishes `durable = o + 1` with a release
+///    store — so any offset a reader acquires is backed by media. Commit
 ///    recycles with a release `fetch_max`, closing the loop back to
 ///    step 1.
 #[derive(Debug)]
-pub struct AtomicBank {
+pub struct UndoLog {
     /// Packed word: low 48 bits = reserved tail (monotonic logical
     /// offset), high 16 bits = reservations in flight (reserved, not yet
     /// published).
@@ -247,30 +218,40 @@ pub struct AtomicBank {
     /// Logical offsets below this belong to committed epochs; their
     /// slots may be reused. Only grows (release `fetch_max`).
     recycled: PaddedAtomicU64,
-    /// The shared durable watermark (entries drained to media).
-    durable: Arc<LogWatermark>,
+    /// Entries drained to media over the writer's lifetime (monotonic,
+    /// never resets). Release-stored by the pump after the media drain.
+    durable: PaddedAtomicU64,
     /// The volatile ring, one slot per in-capacity logical offset.
     slots: Box<[Slot]>,
     /// Failed reservation CAS attempts (contention telemetry).
     cas_retries: AtomicU64,
     /// Total bytes of log writes issued (write-amplification benches).
     bytes_written: AtomicU64,
-    /// First pool line of this bank's slice of the log region.
+    /// First pool line of this writer's slice of the log region.
     region_start: u64,
-    /// Capacity of this bank's slice, in entries.
+    /// Capacity of this writer's slice, in entries.
     capacity_entries: u64,
 }
 
-impl AtomicBank {
-    fn new(region_start: u64, capacity_entries: u64, durable: Arc<LogWatermark>) -> Self {
+impl UndoLog {
+    /// A log writer over a pool's whole log region.
+    pub fn new(pool: &PmPool) -> Self {
+        let layout = pool.layout();
+        Self::with_region(layout.log_start().0, layout.log_lines / ENTRY_LINES)
+    }
+
+    /// A log writer over `capacity_entries` slots starting at pool line
+    /// `region_start` — how a sharded device gives each lane its own
+    /// bank of the log region.
+    pub fn with_region(region_start: u64, capacity_entries: u64) -> Self {
         let slots = (0..capacity_entries)
             .map(|_| Slot { ready: AtomicU64::new(0), entry: Mutex::new(None) })
             .collect::<Vec<_>>()
             .into_boxed_slice();
-        AtomicBank {
+        UndoLog {
             state: PaddedAtomicU64::default(),
             recycled: PaddedAtomicU64::default(),
-            durable,
+            durable: PaddedAtomicU64::default(),
             slots,
             cas_retries: AtomicU64::new(0),
             bytes_written: AtomicU64::new(0),
@@ -279,9 +260,9 @@ impl AtomicBank {
         }
     }
 
-    /// The logical offset the next reservation will claim (= entries
-    /// appended over the bank's lifetime).
-    pub fn reserved(&self) -> u64 {
+    /// Entries appended so far over the writer's lifetime (durable +
+    /// pending) — the logical offset the next reservation will claim.
+    pub fn appended(&self) -> u64 {
         self.state.0.load(Ordering::Relaxed) & TAIL_MASK
     }
 
@@ -297,31 +278,28 @@ impl AtomicBank {
         self.cas_retries.load(Ordering::Relaxed)
     }
 
-    /// Entries known durable.
+    /// Entries known durable; write back of a data line tagged with offset
+    /// `o` is legal once `o < durable_offset()`. Acquire: pairs with the
+    /// pump's release store after the media drain.
     pub fn durable_offset(&self) -> u64 {
-        self.durable.durable()
-    }
-
-    /// A shared handle onto the durable watermark.
-    pub fn watermark(&self) -> Arc<LogWatermark> {
-        Arc::clone(&self.durable)
+        self.durable.0.load(Ordering::Acquire)
     }
 
     /// Entries reserved but not yet durable. (Loads `durable` first:
     /// both only grow and `durable ≤ tail` at every instant, so the
     /// later tail load can only over-approximate, never underflow.)
     pub fn pending_len(&self) -> usize {
-        let durable = self.durable.durable();
-        self.reserved().saturating_sub(durable) as usize
+        let durable = self.durable_offset();
+        self.appended().saturating_sub(durable) as usize
     }
 
     /// Entries whose slots are still held by uncommitted epochs.
     pub fn live_entries(&self) -> u64 {
         let recycled = self.recycled.0.load(Ordering::Acquire);
-        self.reserved().saturating_sub(recycled)
+        self.appended().saturating_sub(recycled)
     }
 
-    /// Capacity of this bank's region slice, in entries.
+    /// Capacity of this writer's region slice, in entries.
     pub fn capacity_entries(&self) -> u64 {
         self.capacity_entries
     }
@@ -339,12 +317,14 @@ impl AtomicBank {
     /// Lock-free append: reserve a slot with one CAS, fill it, publish
     /// it. Returns the entry's logical offset.
     ///
+    /// The append itself is volatile — this is the asynchrony of §3.2: the
+    /// host's `RdOwn` is acknowledged without waiting for durability.
+    ///
     /// # Errors
     ///
     /// Returns [`PmError::LogFull`] when every slot is held by an
-    /// uncommitted epoch — the same `tail − recycled ≥ capacity`
-    /// condition as the locked engine's `live_entries()` check, so both
-    /// engines refuse the same append.
+    /// uncommitted epoch (`tail − recycled ≥ capacity`); the caller
+    /// (libpax) should `persist()` to recycle the region.
     pub fn append(&self, entry: UndoEntry) -> Result<u64> {
         let mut cur = self.state.0.load(Ordering::Relaxed);
         let offset = loop {
@@ -408,7 +388,7 @@ impl AtomicBank {
     ) -> Result<usize> {
         let mut drained = 0;
         while drained < max_entries {
-            let durable = self.durable.durable();
+            let durable = self.durable_offset();
             let slot = &self.slots[(durable % self.capacity_entries) as usize];
             // Acquire pairs with the publisher's release store: observing
             // `durable + 1` makes the boxed entry visible.
@@ -437,7 +417,7 @@ impl AtomicBank {
             // the release store publishes the drained media state to any
             // thread that acquires the new offset.
             pool.drain();
-            self.durable.publish(durable + 1);
+            self.durable.0.store(durable + 1, Ordering::Release);
             self.bytes_written
                 .fetch_add((ENTRY_LINES as usize * LINE_SIZE) as u64, Ordering::Relaxed);
             drained += 1;
@@ -455,10 +435,10 @@ impl AtomicBank {
     ///
     /// # Errors
     ///
-    /// See [`AtomicBank::pump`].
+    /// See [`UndoLog::pump`].
     pub fn flush(&self, pool: &mut PmPool, clock: &pax_pm::CrashClock) -> Result<()> {
-        let target = self.reserved();
-        while self.durable.durable() < target {
+        let target = self.appended();
+        while self.durable_offset() < target {
             if self.pump(pool, clock, usize::MAX)? == 0 {
                 std::thread::yield_now();
             }
@@ -467,19 +447,24 @@ impl AtomicBank {
     }
 
     /// Marks every entry below logical offset `watermark` as committed,
-    /// freeing its slot for reuse; clamped to the durable offset and
-    /// never regresses. The release `fetch_max` pairs with the acquire
-    /// load in [`AtomicBank::append`]'s fullness check (see the protocol
-    /// docs on the type).
+    /// freeing its slot for reuse. Called when the epoch that appended
+    /// those entries durably commits; the watermark is clamped to the
+    /// durable offset (an undrained entry cannot belong to a committed
+    /// epoch) and never moves backwards. The release `fetch_max` pairs
+    /// with the acquire load in [`UndoLog::append`]'s fullness check (see
+    /// the protocol docs on the type).
     pub fn recycle_to(&self, watermark: u64) {
-        let clamped = watermark.min(self.durable.durable());
+        let clamped = watermark.min(self.durable_offset());
         self.recycled.0.fetch_max(clamped, Ordering::AcqRel);
     }
 
-    /// Recycles the whole region after a fully-drained epoch commits.
+    /// Recycles the whole region after a fully-drained epoch commits (the
+    /// synchronous-persist epilogue). Offsets stay monotonic; only slot
+    /// ownership resets. Stale entries left on media belong to committed
+    /// epochs and are ignored by recovery.
     pub fn reset_after_commit(&self) {
         debug_assert_eq!(self.pending_len(), 0, "reset with undrained entries");
-        self.recycle_to(self.durable.durable());
+        self.recycle_to(self.durable_offset());
     }
 
     /// Drops the volatile tail (power loss): reservations, published
@@ -491,250 +476,7 @@ impl AtomicBank {
             slot.ready.store(0, Ordering::Relaxed);
             *slot.entry.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = None;
         }
-        self.state.0.store(self.durable.durable(), Ordering::Relaxed);
-    }
-}
-
-/// The volatile append engine backing one [`UndoLog`].
-#[derive(Debug)]
-enum Backing {
-    /// The original mutex-guarded tail (guarded by the caller's lock).
-    Locked {
-        /// Entries appended but not yet written durably, oldest first.
-        /// A `VecDeque` because `pump` drains from the front: draining N
-        /// entries is O(N), not the O(N²) a `Vec::remove(0)` loop would
-        /// be.
-        pending: VecDeque<UndoEntry>,
-        /// Logical offsets below this belong to committed epochs.
-        recycled_below: u64,
-        /// Total bytes of log writes issued.
-        bytes_written: u64,
-    },
-    /// The lock-free reserve-then-fill ring.
-    Cas(Arc<AtomicBank>),
-}
-
-/// The device's undo-log writer: volatile append engine + durable
-/// watermark over (a slice of) the pool's log region.
-#[derive(Debug)]
-pub struct UndoLog {
-    backing: Backing,
-    /// Logical offset of the durable watermark (entries drained to media
-    /// over the writer's lifetime; monotonic, never resets). Shared as an
-    /// atomic so lock-free readers can order against it — see
-    /// [`LogWatermark`].
-    durable: Arc<LogWatermark>,
-    /// First pool line of this writer's slice of the log region.
-    region_start: u64,
-    /// Capacity of this writer's slice, in entries.
-    capacity_entries: u64,
-}
-
-impl UndoLog {
-    /// A CAS-engine log writer over a pool's whole log region.
-    pub fn new(pool: &PmPool) -> Self {
-        let layout = pool.layout();
-        Self::with_region(layout.log_start().0, layout.log_lines / ENTRY_LINES)
-    }
-
-    /// A log writer over `capacity_entries` slots starting at pool line
-    /// `region_start` — how a sharded device gives each shard its own
-    /// bank of the log region. Uses the lock-free CAS engine.
-    pub fn with_region(region_start: u64, capacity_entries: u64) -> Self {
-        Self::with_region_mode(region_start, capacity_entries, false)
-    }
-
-    /// Like [`UndoLog::with_region`] but `locked` selects the original
-    /// mutex-guarded engine (the `DeviceConfig::with_locked_log`
-    /// differential baseline).
-    pub fn with_region_mode(region_start: u64, capacity_entries: u64, locked: bool) -> Self {
-        let durable = Arc::new(LogWatermark::default());
-        let backing = if locked {
-            Backing::Locked { pending: VecDeque::new(), recycled_below: 0, bytes_written: 0 }
-        } else {
-            Backing::Cas(Arc::new(AtomicBank::new(
-                region_start,
-                capacity_entries,
-                Arc::clone(&durable),
-            )))
-        };
-        UndoLog { backing, durable, region_start, capacity_entries }
-    }
-
-    /// A locked-engine log writer over a pool's whole log region.
-    pub fn new_locked(pool: &PmPool) -> Self {
-        let layout = pool.layout();
-        Self::with_region_mode(layout.log_start().0, layout.log_lines / ENTRY_LINES, true)
-    }
-
-    /// The lock-free bank, when this writer uses the CAS engine — the
-    /// handle the device shares so appends and pumps can bypass the lane
-    /// lock entirely.
-    pub fn bank(&self) -> Option<Arc<AtomicBank>> {
-        match &self.backing {
-            Backing::Cas(bank) => Some(Arc::clone(bank)),
-            Backing::Locked { .. } => None,
-        }
-    }
-
-    /// Entries known durable; write back of a data line tagged with offset
-    /// `o` is legal once `o < durable_offset()`.
-    pub fn durable_offset(&self) -> u64 {
-        self.durable.durable()
-    }
-
-    /// A shared handle onto this writer's durable watermark, readable
-    /// without whatever lock guards the writer itself.
-    pub fn watermark(&self) -> Arc<LogWatermark> {
-        Arc::clone(&self.durable)
-    }
-
-    /// Entries appended so far over the writer's lifetime (durable +
-    /// pending). The next append gets this offset.
-    pub fn appended(&self) -> u64 {
-        match &self.backing {
-            Backing::Locked { pending, .. } => self.durable.durable() + pending.len() as u64,
-            Backing::Cas(bank) => bank.reserved(),
-        }
-    }
-
-    /// Entries awaiting the background drain.
-    pub fn pending_len(&self) -> usize {
-        match &self.backing {
-            Backing::Locked { pending, .. } => pending.len(),
-            Backing::Cas(bank) => bank.pending_len(),
-        }
-    }
-
-    /// Entries whose slots are still held by uncommitted epochs.
-    pub fn live_entries(&self) -> u64 {
-        match &self.backing {
-            Backing::Locked { recycled_below, .. } => self.appended() - recycled_below,
-            Backing::Cas(bank) => bank.live_entries(),
-        }
-    }
-
-    /// Capacity of this writer's region slice, in entries.
-    pub fn capacity_entries(&self) -> u64 {
-        self.capacity_entries
-    }
-
-    /// Total log bytes issued to media.
-    pub fn bytes_written(&self) -> u64 {
-        match &self.backing {
-            Backing::Locked { bytes_written, .. } => *bytes_written,
-            Backing::Cas(bank) => bank.bytes_written(),
-        }
-    }
-
-    /// Appends an entry, returning its logical offset.
-    ///
-    /// The append itself is volatile — this is the asynchrony of §3.2: the
-    /// host's `RdOwn` is acknowledged without waiting for durability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PmError::LogFull`] when every slot is held by an
-    /// uncommitted epoch; the caller (libpax) should `persist()` to
-    /// recycle the region.
-    pub fn append(&mut self, entry: UndoEntry) -> Result<u64> {
-        match &mut self.backing {
-            Backing::Locked { pending, recycled_below, .. } => {
-                let appended = self.durable.durable() + pending.len() as u64;
-                if appended - *recycled_below >= self.capacity_entries {
-                    return Err(PmError::LogFull { capacity_entries: self.capacity_entries });
-                }
-                pending.push_back(entry);
-                Ok(appended)
-            }
-            Backing::Cas(bank) => bank.append(entry),
-        }
-    }
-
-    /// Drains up to `max_entries` pending entries to the log region and
-    /// advances the durable watermark. Returns entries drained.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces [`PmError::Crashed`] if the pool's crash clock fires, and
-    /// media errors from the pool.
-    pub fn pump(
-        &mut self,
-        pool: &mut PmPool,
-        clock: &pax_pm::CrashClock,
-        max_entries: usize,
-    ) -> Result<usize> {
-        match &mut self.backing {
-            Backing::Locked { pending, bytes_written, .. } => {
-                let n = max_entries.min(pending.len());
-                for _ in 0..n {
-                    if clock.tick() == CrashOutcome::Crashed {
-                        pool.crash();
-                        return Err(PmError::Crashed);
-                    }
-                    let entry = pending.pop_front().expect("n bounded by pending length");
-                    let durable = self.durable.durable();
-                    let base = self.region_start + (durable % self.capacity_entries) * ENTRY_LINES;
-                    pool.write_line(LineAddr(base), entry.header_line())?;
-                    pool.write_line(LineAddr(base + 1), entry.old.clone())?;
-                    // The watermark only advances once both lines are
-                    // durable: the release store publishes the drained
-                    // media state to any thread acquiring the offset.
-                    pool.drain();
-                    self.durable.publish(durable + 1);
-                    *bytes_written += (ENTRY_LINES as usize * LINE_SIZE) as u64;
-                }
-                Ok(n)
-            }
-            Backing::Cas(bank) => bank.pump(pool, clock, max_entries),
-        }
-    }
-
-    /// Drains everything pending (the synchronous step inside `persist()`).
-    ///
-    /// # Errors
-    ///
-    /// See [`UndoLog::pump`].
-    pub fn flush(&mut self, pool: &mut PmPool, clock: &pax_pm::CrashClock) -> Result<()> {
-        if let Backing::Cas(bank) = &self.backing {
-            return bank.flush(pool, clock);
-        }
-        while self.pending_len() > 0 {
-            self.pump(pool, clock, usize::MAX)?;
-        }
-        Ok(())
-    }
-
-    /// Marks every entry below logical offset `watermark` as committed,
-    /// freeing its slot for reuse. Called when the epoch that appended
-    /// those entries durably commits; the watermark is clamped to the
-    /// durable offset (an undrained entry cannot belong to a committed
-    /// epoch) and never moves backwards.
-    pub fn recycle_to(&mut self, watermark: u64) {
-        match &mut self.backing {
-            Backing::Locked { recycled_below, .. } => {
-                *recycled_below = (*recycled_below).max(watermark.min(self.durable.durable()));
-            }
-            Backing::Cas(bank) => bank.recycle_to(watermark),
-        }
-    }
-
-    /// Recycles the whole region after a fully-drained epoch commits (the
-    /// synchronous-persist epilogue). Offsets stay monotonic; only slot
-    /// ownership resets. Stale entries left on media belong to committed
-    /// epochs and are ignored by recovery.
-    pub fn reset_after_commit(&mut self) {
-        debug_assert_eq!(self.pending_len(), 0, "reset with undrained entries");
-        let durable = self.durable.durable();
-        self.recycle_to(durable);
-    }
-
-    /// Drops the volatile tail (power loss).
-    pub fn crash(&mut self) {
-        match &mut self.backing {
-            Backing::Locked { pending, .. } => pending.clear(),
-            Backing::Cas(bank) => bank.crash(),
-        }
+        self.state.0.store(self.durable_offset(), Ordering::Relaxed);
     }
 
     /// Scans the pool's log region for valid entries (recovery, §3.4).
@@ -784,16 +526,19 @@ mod tests {
         UndoEntry::single(epoch, LineAddr(line), CacheLine::filled(fill))
     }
 
-    /// Both engines over a pool's whole log region, for parity loops.
-    fn both_modes(p: &PmPool) -> Vec<UndoLog> {
-        vec![UndoLog::new(p), UndoLog::new_locked(p)]
+    /// FNV-1a 64 over the log region's first `lines` lines.
+    fn region_digest(p: &mut PmPool, lines: u64) -> u64 {
+        let start = p.layout().log_start().0;
+        (0..lines)
+            .flat_map(|i| p.read_line(LineAddr(start + i)).unwrap().as_bytes().to_vec())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
     }
 
     #[test]
     fn tenant_tag_round_trips_and_is_checksummed() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(UndoEntry { tenant: 3, ..entry(1, 7, 0xAA) }).unwrap();
         log.flush(&mut p, &clock).unwrap();
         let scanned = UndoLog::scan(&mut p).unwrap();
@@ -813,7 +558,7 @@ mod tests {
     fn cleared_commit_mark_is_invisible_to_scan() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(1, 7, 0xAA)).unwrap();
         log.flush(&mut p, &clock).unwrap();
         assert_eq!(UndoLog::scan(&mut p).unwrap().len(), 1);
@@ -828,74 +573,56 @@ mod tests {
         assert!(UndoLog::scan(&mut p).unwrap().is_empty());
     }
 
+    // The `*_in_both_modes` names date from when a mutex-guarded append
+    // engine ran beside this one; every case now runs the single engine.
+
     #[test]
     fn append_assigns_monotonic_offsets_in_both_modes() {
-        let p = pool();
-        for mut log in both_modes(&p) {
-            assert_eq!(log.append(entry(1, 0, 0)).unwrap(), 0);
-            assert_eq!(log.append(entry(1, 1, 0)).unwrap(), 1);
-            assert_eq!(log.appended(), 2);
-            assert_eq!(log.durable_offset(), 0); // nothing drained yet
-        }
+        let log = UndoLog::new(&pool());
+        assert_eq!(log.append(entry(1, 0, 0)).unwrap(), 0);
+        assert_eq!(log.append(entry(1, 1, 0)).unwrap(), 1);
+        assert_eq!(log.appended(), 2);
+        assert_eq!(log.durable_offset(), 0); // nothing drained yet
     }
 
     #[test]
     fn pump_advances_watermark_incrementally_in_both_modes() {
         let clock = CrashClock::new();
-        for locked in [false, true] {
-            let mut p = pool();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
-            for i in 0..5 {
-                log.append(entry(1, i, i as u8)).unwrap();
-            }
-            assert_eq!(log.pump(&mut p, &clock, 2).unwrap(), 2);
-            assert_eq!(log.durable_offset(), 2);
-            assert_eq!(log.pending_len(), 3);
-            log.flush(&mut p, &clock).unwrap();
-            assert_eq!(log.durable_offset(), 5);
-            assert_eq!(log.bytes_written(), 5 * 128);
+        let mut p = pool();
+        let log = UndoLog::new(&p);
+        for i in 0..5 {
+            log.append(entry(1, i, i as u8)).unwrap();
         }
+        assert_eq!(log.pump(&mut p, &clock, 2).unwrap(), 2);
+        assert_eq!(log.durable_offset(), 2);
+        assert_eq!(log.pending_len(), 3);
+        log.flush(&mut p, &clock).unwrap();
+        assert_eq!(log.durable_offset(), 5);
+        assert_eq!(log.bytes_written(), 5 * 128);
     }
 
+    /// Pins the log region's bytes after a fixed append sequence. The
+    /// mutex-guarded and CAS engines both produced exactly this digest
+    /// before the mutex engine was retired; the surviving engine must
+    /// keep producing it.
     #[test]
     fn engines_produce_identical_media_bytes() {
-        // The differential core: same appends through either engine ⇒
-        // byte-identical log region.
         let clock = CrashClock::new();
-        let mut images = Vec::new();
-        for locked in [false, true] {
-            let mut p = pool();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
-            for i in 0..32u64 {
-                log.append(UndoEntry {
-                    tenant: (i % 3) as u32,
-                    ..entry(1 + i / 10, i % 7, i as u8)
-                })
+        let mut p = pool();
+        let log = UndoLog::new(&p);
+        for i in 0..32u64 {
+            log.append(UndoEntry { tenant: (i % 3) as u32, ..entry(1 + i / 10, i % 7, i as u8) })
                 .unwrap();
-            }
-            log.flush(&mut p, &clock).unwrap();
-            let lines: Vec<CacheLine> =
-                (0..64).map(|i| p.read_line(LineAddr(layout.log_start().0 + i)).unwrap()).collect();
-            images.push(lines);
         }
-        assert_eq!(images[0], images[1]);
+        log.flush(&mut p, &clock).unwrap();
+        assert_eq!(region_digest(&mut p, 64), 0x50dc_3a12_4ea2_96c4);
     }
 
     #[test]
     fn scan_round_trips_entries() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(3, 7, 0xAA)).unwrap();
         log.append(entry(3, 9, 0xBB)).unwrap();
         log.flush(&mut p, &clock).unwrap();
@@ -908,31 +635,24 @@ mod tests {
     #[test]
     fn pending_entries_are_lost_on_crash_in_both_modes() {
         let clock = CrashClock::new();
-        for locked in [false, true] {
-            let mut p = pool();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
-            log.append(entry(1, 0, 1)).unwrap();
-            log.pump(&mut p, &clock, 1).unwrap();
-            log.append(entry(1, 1, 2)).unwrap();
-            log.crash();
-            p.crash();
-            assert_eq!(log.pending_len(), 0);
-            let scanned = UndoLog::scan(&mut p).unwrap();
-            assert_eq!(scanned.len(), 1, "only the drained entry survives");
-            assert_eq!(scanned[0].1.vpm_line, LineAddr(0));
-        }
+        let mut p = pool();
+        let log = UndoLog::new(&p);
+        log.append(entry(1, 0, 1)).unwrap();
+        log.pump(&mut p, &clock, 1).unwrap();
+        log.append(entry(1, 1, 2)).unwrap();
+        log.crash();
+        p.crash();
+        assert_eq!(log.pending_len(), 0);
+        let scanned = UndoLog::scan(&mut p).unwrap();
+        assert_eq!(scanned.len(), 1, "only the drained entry survives");
+        assert_eq!(scanned[0].1.vpm_line, LineAddr(0));
     }
 
     #[test]
     fn torn_entry_fails_checksum_and_is_skipped() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(1, 0, 1)).unwrap();
         log.flush(&mut p, &clock).unwrap();
         // Corrupt the data line of the entry (simulated torn write).
@@ -946,19 +666,17 @@ mod tests {
     fn log_full_is_reported_in_both_modes() {
         let mut cfg = PoolConfig::small();
         cfg.log_bytes = 4 * LINE_SIZE; // room for 2 entries
-        let p = PmPool::create(cfg).unwrap();
-        for mut log in both_modes(&p) {
-            log.append(entry(1, 0, 0)).unwrap();
-            log.append(entry(1, 1, 0)).unwrap();
-            assert!(matches!(log.append(entry(1, 2, 0)), Err(PmError::LogFull { .. })));
-        }
+        let log = UndoLog::new(&PmPool::create(cfg).unwrap());
+        log.append(entry(1, 0, 0)).unwrap();
+        log.append(entry(1, 1, 0)).unwrap();
+        assert!(matches!(log.append(entry(1, 2, 0)), Err(PmError::LogFull { .. })));
     }
 
     #[test]
     fn reset_after_commit_reuses_slots_with_monotonic_offsets() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(1, 5, 1)).unwrap();
         log.flush(&mut p, &clock).unwrap();
         log.reset_after_commit();
@@ -978,51 +696,41 @@ mod tests {
     #[test]
     fn recycle_to_frees_slots_incrementally_in_both_modes() {
         let clock = CrashClock::new();
-        for locked in [false, true] {
-            let mut cfg = PoolConfig::small();
-            cfg.log_bytes = 8 * LINE_SIZE; // 4 slots
-            let mut p = PmPool::create(cfg).unwrap();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(layout.log_start().0, 4, locked);
-            for i in 0..4 {
-                log.append(entry(1, i, 0)).unwrap();
-            }
-            assert!(matches!(log.append(entry(2, 9, 0)), Err(PmError::LogFull { .. })));
-            log.flush(&mut p, &clock).unwrap();
-            // Epoch 1 committed up to offset 2: two slots free, two live.
-            log.recycle_to(2);
-            assert_eq!(log.live_entries(), 2);
-            assert_eq!(log.append(entry(2, 9, 0)).unwrap(), 4);
-            assert_eq!(log.append(entry(2, 10, 0)).unwrap(), 5);
-            assert!(matches!(log.append(entry(2, 11, 0)), Err(PmError::LogFull { .. })));
-            // The wrapped entries physically overwrite the recycled slots.
-            log.flush(&mut p, &clock).unwrap();
-            let scanned = UndoLog::scan(&mut p).unwrap();
-            assert_eq!(scanned.len(), 4);
-            assert_eq!(scanned.iter().filter(|(_, e)| e.epoch == 2).count(), 2);
+        let mut cfg = PoolConfig::small();
+        cfg.log_bytes = 8 * LINE_SIZE; // 4 slots
+        let mut p = PmPool::create(cfg).unwrap();
+        let log = UndoLog::with_region(p.layout().log_start().0, 4);
+        for i in 0..4 {
+            log.append(entry(1, i, 0)).unwrap();
         }
+        assert!(matches!(log.append(entry(2, 9, 0)), Err(PmError::LogFull { .. })));
+        log.flush(&mut p, &clock).unwrap();
+        // Epoch 1 committed up to offset 2: two slots free, two live.
+        log.recycle_to(2);
+        assert_eq!(log.live_entries(), 2);
+        assert_eq!(log.append(entry(2, 9, 0)).unwrap(), 4);
+        assert_eq!(log.append(entry(2, 10, 0)).unwrap(), 5);
+        assert!(matches!(log.append(entry(2, 11, 0)), Err(PmError::LogFull { .. })));
+        // The wrapped entries physically overwrite the recycled slots.
+        log.flush(&mut p, &clock).unwrap();
+        let scanned = UndoLog::scan(&mut p).unwrap();
+        assert_eq!(scanned.len(), 4);
+        assert_eq!(scanned.iter().filter(|(_, e)| e.epoch == 2).count(), 2);
     }
 
     #[test]
     fn recycle_to_clamps_to_durable_and_never_regresses() {
         let clock = CrashClock::new();
-        for locked in [false, true] {
-            let mut p = pool();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
-            for i in 0..3 {
-                log.append(entry(1, i, 0)).unwrap();
-            }
-            log.pump(&mut p, &clock, 1).unwrap();
-            log.recycle_to(99); // clamped: only 1 entry is durable
-            assert_eq!(log.live_entries(), 2);
-            log.recycle_to(0); // never regresses
-            assert_eq!(log.live_entries(), 2);
+        let mut p = pool();
+        let log = UndoLog::new(&p);
+        for i in 0..3 {
+            log.append(entry(1, i, 0)).unwrap();
         }
+        log.pump(&mut p, &clock, 1).unwrap();
+        log.recycle_to(99); // clamped: only 1 entry is durable
+        assert_eq!(log.live_entries(), 2);
+        log.recycle_to(0); // never regresses
+        assert_eq!(log.live_entries(), 2);
     }
 
     #[test]
@@ -1031,8 +739,8 @@ mod tests {
         let clock = CrashClock::new();
         let layout = p.layout();
         let per_shard = 2u64;
-        let mut a = UndoLog::with_region(layout.log_start().0, per_shard);
-        let mut b = UndoLog::with_region(layout.log_start().0 + per_shard * ENTRY_LINES, per_shard);
+        let a = UndoLog::with_region(layout.log_start().0, per_shard);
+        let b = UndoLog::with_region(layout.log_start().0 + per_shard * ENTRY_LINES, per_shard);
         a.append(entry(1, 0, 0xA)).unwrap();
         a.append(entry(1, 2, 0xA)).unwrap();
         b.append(entry(1, 1, 0xB)).unwrap();
@@ -1047,31 +755,23 @@ mod tests {
 
     #[test]
     fn crash_clock_interrupts_pump_in_both_modes() {
-        for locked in [false, true] {
-            let mut p = pool();
-            let clock = CrashClock::new();
-            let layout = p.layout();
-            let mut log = UndoLog::with_region_mode(
-                layout.log_start().0,
-                layout.log_lines / ENTRY_LINES,
-                locked,
-            );
-            for i in 0..4 {
-                log.append(entry(1, i, 0)).unwrap();
-            }
-            clock.arm(clock.steps_taken() + 2); // two pump steps, then crash
-            assert_eq!(log.pump(&mut p, &clock, 2).unwrap(), 2);
-            assert!(matches!(log.flush(&mut p, &clock), Err(PmError::Crashed)));
-            assert_eq!(log.durable_offset(), 2);
-            clock.reset();
+        let mut p = pool();
+        let clock = CrashClock::new();
+        let log = UndoLog::new(&p);
+        for i in 0..4 {
+            log.append(entry(1, i, 0)).unwrap();
         }
+        clock.arm(clock.steps_taken() + 2); // two pump steps, then crash
+        assert_eq!(log.pump(&mut p, &clock, 2).unwrap(), 2);
+        assert!(matches!(log.flush(&mut p, &clock), Err(PmError::Crashed)));
+        assert_eq!(log.durable_offset(), 2);
     }
 
     #[test]
     fn bytes_written_counts_both_lines() {
         let mut p = pool();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         log.append(entry(1, 0, 0)).unwrap();
         log.flush(&mut p, &clock).unwrap();
         assert_eq!(log.bytes_written(), 128);
@@ -1079,15 +779,13 @@ mod tests {
 
     #[test]
     fn large_pending_drain_is_linear() {
-        // The remove(0) regression: draining N pending entries must be
-        // O(N). 50k entries through repeated small pumps completes in
-        // well under a second with a VecDeque; the old Vec::remove(0)
-        // drain was O(N²) and took tens of seconds.
+        // Draining N pending entries must be O(N): 50k entries through
+        // one flush completes in well under a second.
         let mut cfg = PoolConfig::small();
         cfg.log_bytes = 50_000 * (ENTRY_LINES as usize) * LINE_SIZE;
         let mut p = PmPool::create(cfg).unwrap();
         let clock = CrashClock::new();
-        let mut log = UndoLog::new(&p);
+        let log = UndoLog::new(&p);
         for i in 0..50_000u64 {
             log.append(entry(1, i % 1024, i as u8)).unwrap();
         }
@@ -1095,28 +793,27 @@ mod tests {
         log.flush(&mut p, &clock).unwrap();
         let per_entry_ns = start.elapsed().as_nanos() as u64 / 50_000;
         assert_eq!(log.durable_offset(), 50_000);
-        // Generous bound: a linear drain spends ~100 ns/entry; the
-        // quadratic one spent tens of µs/entry at this size.
+        // Generous bound: a linear drain spends ~100 ns/entry; a
+        // quadratic one would spend tens of µs/entry at this size.
         assert!(per_entry_ns < 10_000, "drain took {per_entry_ns} ns/entry");
     }
 
     #[test]
     fn concurrent_appends_reserve_unique_contiguous_offsets() {
-        // The lock-free claim itself: N threads hammering one bank get
+        // The lock-free claim itself: N threads hammering one log get
         // disjoint offsets covering exactly 0..N*OPS, every reservation
         // is published, and the in-flight gauge settles back to zero.
         const THREADS: usize = 4;
         const OPS: u64 = 2_000;
         let log = UndoLog::with_region(0, THREADS as u64 * OPS + 1);
-        let bank = log.bank().unwrap();
         let per_thread: Vec<Vec<u64>> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..THREADS)
                 .map(|t| {
-                    let bank = Arc::clone(&bank);
+                    let log = &log;
                     s.spawn(move || {
                         (0..OPS)
                             .map(|i| {
-                                bank.append(UndoEntry { tenant: t as u32, ..entry(1, i, t as u8) })
+                                log.append(UndoEntry { tenant: t as u32, ..entry(1, i, t as u8) })
                                     .unwrap()
                             })
                             .collect()
@@ -1129,9 +826,9 @@ mod tests {
         all.sort_unstable();
         let expect: Vec<u64> = (0..THREADS as u64 * OPS).collect();
         assert_eq!(all, expect, "offsets must be unique and contiguous");
-        assert_eq!(bank.reserved(), THREADS as u64 * OPS);
-        assert_eq!(bank.in_flight(), 0, "every reservation was published");
-        assert_eq!(bank.pending_len(), THREADS * OPS as usize);
+        assert_eq!(log.appended(), THREADS as u64 * OPS);
+        assert_eq!(log.in_flight(), 0, "every reservation was published");
+        assert_eq!(log.pending_len(), THREADS * OPS as usize);
     }
 
     #[test]
@@ -1146,25 +843,23 @@ mod tests {
         let mut p = PmPool::create(cfg).unwrap();
         let clock = CrashClock::new();
         let log = UndoLog::new(&p);
-        let bank = log.bank().unwrap();
         std::thread::scope(|s| {
             for t in 0..THREADS {
-                let bank = Arc::clone(&bank);
+                let log = &log;
                 s.spawn(move || {
                     for i in 0..OPS {
-                        bank.append(UndoEntry { tenant: t as u32, ..entry(1, i, t as u8) })
-                            .unwrap();
+                        log.append(UndoEntry { tenant: t as u32, ..entry(1, i, t as u8) }).unwrap();
                     }
                 });
             }
             // This thread is the pump (it owns the pool exclusively).
-            while bank.durable_offset() < THREADS as u64 * OPS {
-                if bank.pump(&mut p, &clock, 64).unwrap() == 0 {
+            while log.durable_offset() < THREADS as u64 * OPS {
+                if log.pump(&mut p, &clock, 64).unwrap() == 0 {
                     std::thread::yield_now();
                 }
             }
         });
-        assert_eq!(bank.durable_offset(), THREADS as u64 * OPS);
+        assert_eq!(log.durable_offset(), THREADS as u64 * OPS);
         assert_eq!(UndoLog::scan(&mut p).unwrap().len(), THREADS * OPS as usize);
     }
 }
