@@ -55,7 +55,8 @@ pub struct PaxConfig {
     pub instrument: Option<HierarchyConfig>,
     /// Host cores. 1 models the socket as one coherence unit; more give
     /// per-core caches with core-to-core transfers (§3.5) — access them
-    /// through [`PaxPool::vpm_for_core`].
+    /// through [`PaxPool::vpm_for_core`]. Zero is rejected when the pool
+    /// opens.
     pub cores: usize,
     /// When the undo-log region fills mid-epoch, transparently `persist()`
     /// and retry instead of surfacing `LogFull` — the paper's "libpax can
@@ -64,7 +65,8 @@ pub struct PaxConfig {
     /// Pool contexts (tenants) the device hosts. 1 is the classic
     /// single-pool device; more splits the vPM range evenly into
     /// independent tenant extents, each with its own epoch counter and
-    /// recovery state — attach to one with [`PaxPool::attach`].
+    /// recovery state — attach to one with [`PaxPool::attach`]. Zero is
+    /// rejected when the pool opens.
     pub tenants: usize,
 }
 
@@ -93,13 +95,9 @@ impl PaxConfig {
         self
     }
 
-    /// Returns the config with a multi-core host model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
+    /// Returns the config with a multi-core host model. A zero count is
+    /// rejected when the pool opens.
     pub fn with_cores(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one core");
         self.cores = n;
         self
     }
@@ -111,8 +109,8 @@ impl PaxConfig {
     }
 
     /// Returns the config hosting `n` tenant pool contexts (even vPM
-    /// split, equal scheduler weights). A zero count is rejected when the
-    /// pool opens.
+    /// split, equal HBM and tick-budget shares). A zero count is rejected
+    /// when the pool opens.
     pub fn with_tenants(mut self, n: usize) -> Self {
         self.tenants = n;
         self
@@ -362,8 +360,15 @@ impl PaxPool {
     ///
     /// # Errors
     ///
-    /// Propagates recovery/media errors.
+    /// Returns [`PmError::Config`] for a zero core or tenant count, and
+    /// propagates device-config, recovery and media errors.
     pub fn open(pool: PmPool, config: PaxConfig) -> Result<Self> {
+        if config.cores == 0 {
+            return Err(PmError::Config("a pool needs at least one host core".into()).into());
+        }
+        if config.tenants == 0 {
+            return Err(PmError::Config("a pool needs at least one tenant".into()).into());
+        }
         let vpm_bytes = pool.layout().data_lines * LINE_SIZE as u64;
         let regions = even_split(pool.layout().data_lines, config.tenants);
         let device = PaxDevice::open_multi(pool, config.device, regions)?;

@@ -22,9 +22,10 @@
 //! lanes only, ending in an atomic commit of `t`'s header epoch slot. One
 //! tenant persisting or hammering its log never flushes, stalls, or
 //! commits another tenant's in-flight epoch; what tenants share is
-//! capacity (HBM, log region) and time (per-shard tick budgets divided by
-//! scheduler weight). A single-tenant device (`T = 1`, the [`PaxDevice::open`]
-//! default) degenerates to the classic sharded device exactly.
+//! capacity (HBM, log region, split evenly) and time (per-shard tick
+//! budgets divided evenly across the tenants with pending work). A
+//! single-tenant device (`T = 1`, the [`PaxDevice::open`] default)
+//! degenerates to the classic sharded device exactly.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -39,12 +40,26 @@ use crate::directory::{coalesce_runs, DirectoryConfig};
 use crate::hbm::{HbmConfig, HbmLine};
 use crate::metrics::{DeviceCounters, DeviceMetrics};
 use crate::recovery::{recover_traced, RecoveryReport};
-use crate::sched::{persist_drain_budget, weighted_budget, DeviceScheduler, SchedConfig};
+use crate::sched::{
+    persist_drain_budget, tick_share, DeviceScheduler, LOG_DRAIN_PER_TICK, PERSIST_DRAIN_PER_TICK,
+    WRITEBACK_PER_TICK,
+};
 use crate::shard::{split_log_region, tick, DeviceShard, LaneHandles};
 use crate::tenant::{TenantId, TenantMap, TenantRegion};
 
 /// Component name stamped on the device's metrics and trace records.
 const COMPONENT: &str = "device";
+
+/// Consecutive skipped non-blocking polls of one tenant's drain after
+/// which `poll_one_tenant` falls back to a patient (bounded-spin)
+/// acquisition of the ctl lock, so a store-heavy thread mix cannot
+/// starve an async persist indefinitely.
+const POLL_SKIP_LIMIT: u64 = 64;
+
+/// Bounded spin length for the starvation fallback. Big enough to
+/// outlast a poll-sized critical section on the other side, small
+/// enough that a long persist barrier cannot capture hot paths.
+const BOUNDED_POLL_SPINS: usize = 128;
 
 /// Tuning knobs for a [`PaxDevice`].
 #[derive(Debug, Clone, Copy)]
@@ -62,18 +77,12 @@ pub struct DeviceConfig {
     /// Dirty-durable lines written back per host request (§3.3's
     /// proactive write back); 0 disables background write back.
     pub writeback_batch: usize,
-    /// Whether `RdShared` responses are cached in HBM.
-    pub cache_clean_reads: bool,
     /// Most recent trace events retained by the device's [`TraceBuf`]
     /// (0 disables tracing entirely).
     pub trace_capacity: usize,
     /// Address-interleaved shards each tenant's per-line state is split
     /// into. 1 = the unsharded device.
     pub shards: usize,
-    /// Per-tick engine budgets of the virtual-time scheduler
-    /// ([`PaxDevice::tick`]); the persist-drain budget also paces
-    /// [`PaxDevice::persist_poll`].
-    pub sched: SchedConfig,
     /// Whether persist-time snoops are filtered through the per-lane
     /// ownership directory ([`crate::OwnershipDirectory`]). Enabled by
     /// default; [`DirectoryConfig::disabled`] restores always-snoop for
@@ -83,12 +92,6 @@ pub struct DeviceConfig {
     /// write-backs contiguous in lane-local address space share one
     /// durable-write step, up to this many. 1 = the unbatched pipeline.
     pub persist_wb_batch: usize,
-    /// Consecutive skipped non-blocking polls of one tenant's drain
-    /// after which [`PaxDevice::background`]'s poll falls back to a
-    /// patient (bounded-spin) acquisition of the ctl lock, so a
-    /// store-heavy thread mix cannot starve an async persist
-    /// indefinitely.
-    pub poll_skip_limit: u64,
     /// The ordering/durability contract the device enforces
     /// ([`PersistencyModel`]): strict (every store its own durable
     /// epoch), epoch (the synchronous-barrier default), or
@@ -138,12 +141,6 @@ impl DeviceConfig {
         self
     }
 
-    /// Returns the config with different scheduler tick budgets.
-    pub fn with_sched(mut self, sched: SchedConfig) -> Self {
-        self.sched = sched;
-        self
-    }
-
     /// Returns the config with a different snoop-filter mode.
     pub fn with_directory(mut self, directory: DirectoryConfig) -> Self {
         self.directory = directory;
@@ -155,13 +152,6 @@ impl DeviceConfig {
     /// device opens.
     pub fn with_persist_wb_batch(mut self, n: usize) -> Self {
         self.persist_wb_batch = n;
-        self
-    }
-
-    /// Returns the config with a different poll-starvation threshold. A
-    /// zero limit is rejected by [`DeviceConfig::validate`].
-    pub fn with_poll_skip_limit(mut self, n: u64) -> Self {
-        self.poll_skip_limit = n;
         self
     }
 
@@ -181,10 +171,9 @@ impl DeviceConfig {
     /// # Errors
     ///
     /// Returns [`PmError::Config`] when the shard count, pump interval,
-    /// or persist write-back batch is zero, a tenant's HBM share is zero,
-    /// the persistency model is invalid (buffered depth 0), or the HBM
-    /// cannot give each of the `shards × tenants` lanes at least one full
-    /// associativity set.
+    /// or persist write-back batch is zero, the persistency model is
+    /// invalid (buffered depth 0), or the HBM cannot give each of the
+    /// `shards × tenants` lanes at least one full associativity set.
     pub fn validate(&self, regions: &[TenantRegion]) -> Result<()> {
         if self.shards == 0 {
             return Err(PmError::Config("shard count must be at least 1".into()));
@@ -195,15 +184,7 @@ impl DeviceConfig {
         if self.persist_wb_batch == 0 {
             return Err(PmError::Config("persist write-back batch must be at least 1".into()));
         }
-        if self.poll_skip_limit == 0 {
-            return Err(PmError::Config("poll skip limit must be at least 1".into()));
-        }
         self.persistency.validate().map_err(PmError::Config)?;
-        for (t, r) in regions.iter().enumerate() {
-            if r.hbm_share == 0 {
-                return Err(PmError::Config(format!("tenant {t} has zero HBM share")));
-            }
-        }
         let lanes = self.shards * regions.len().max(1);
         let set_bytes = self.hbm.ways * pax_pm::LINE_SIZE;
         if set_bytes == 0 || self.hbm.capacity_bytes / lanes < set_bytes {
@@ -224,13 +205,10 @@ impl Default for DeviceConfig {
             log_pump_batch: 2,
             log_pump_interval: 1,
             writeback_batch: 1,
-            cache_clean_reads: true,
             trace_capacity: 1024,
             shards: 1,
-            sched: SchedConfig::default(),
             directory: DirectoryConfig::enabled(),
             persist_wb_batch: 8,
-            poll_skip_limit: 64,
             persistency: PersistencyModel::Epoch,
         }
     }
@@ -356,14 +334,14 @@ pub struct PaxDevice {
     /// strict/epoch, K under buffered-epoch). Top of the lock order.
     draining: Vec<Mutex<VecDeque<DrainState>>>,
     /// Per tenant: consecutive `persist_poll_try` passes that found the
-    /// ctl lock contended and skipped the tenant. At
-    /// [`DeviceConfig::poll_skip_limit`] the poll escalates to a bounded
+    /// ctl lock contended and skipped the tenant. At [`POLL_SKIP_LIMIT`]
+    /// the poll escalates to a bounded
     /// spin (see `poll_one_tenant`) so an async drain cannot be starved by
     /// hot-path ctl traffic. Relaxed ordering: a pure heuristic counter,
     /// it guards no data.
     poll_skips: Vec<AtomicU64>,
-    /// Virtual-time run-queue state: per-lane pump credits and adaptive
-    /// boosts, the round-robin idle-service cursor, and the tick counter.
+    /// Virtual-time run-queue state: per-lane pump credits, the
+    /// round-robin idle-service cursor, and the tick counter.
     sched: DeviceScheduler,
     /// Device-level counter registry: scheduler events that belong to no
     /// single lane. Lane registries merge into it in every snapshot.
@@ -423,22 +401,17 @@ impl PaxDevice {
         }
         let stride = banks.len() / t;
         let lanes = banks.len();
-        // Slice the HBM across tenants by share (then evenly across each
-        // tenant's shards); each lane is still floored at one full set
-        // inside `DeviceShard::new`, so small shares bound, never zero.
-        let total_shares = tenants.total_hbm_shares().max(1);
+        // Slice the HBM evenly across tenants, then across each tenant's
+        // shards. `validate` has checked that a `shards × tenants` slice
+        // holds a full set, and `stride ≤ shards`, so every lane has one.
+        let slice = config.hbm.capacity_bytes / t / stride;
         let shards: Vec<DeviceShard> = banks
             .iter()
             .enumerate()
             .map(|(i, &(base, cap))| {
-                let tenant = i / stride;
-                let share = tenants.hbm_share(tenant) as u64;
-                let slice = (config.hbm.capacity_bytes as u64 * share
-                    / total_shares
-                    / stride as u64) as usize;
                 DeviceShard::new(
                     i,
-                    tenant,
+                    i / stride,
                     stride,
                     config.hbm.with_capacity_bytes(slice),
                     base,
@@ -458,9 +431,9 @@ impl PaxDevice {
         // So are the tick budgets: a trace full of `tick` events is only
         // replayable knowing how much work each tick was allowed.
         for (name, value) in [
-            ("sched_log_budget", config.sched.log_drain_per_tick),
-            ("sched_writeback_budget", config.sched.writeback_per_tick),
-            ("sched_persist_budget", config.sched.persist_drain_per_tick),
+            ("sched_log_budget", LOG_DRAIN_PER_TICK),
+            ("sched_writeback_budget", WRITEBACK_PER_TICK),
+            ("sched_persist_budget", PERSIST_DRAIN_PER_TICK),
         ] {
             let gauge = metrics.counter(name);
             metrics.add(gauge, value as u64);
@@ -607,7 +580,7 @@ impl PaxDevice {
     }
 
     /// Undo-log entries tenant `t` has appended but not yet drained
-    /// durably — the backlog the scheduler's weighted budgets work off.
+    /// durably — the backlog the scheduler's tick budgets work off.
     /// Lock-free: read from the lanes' undo logs.
     pub fn log_pending_for(&self, t: TenantId) -> usize {
         self.tenant_lanes(t).map(|l| self.lanes[l].log.pending_len()).sum()
@@ -740,14 +713,7 @@ impl PaxDevice {
             try_lock(&self.draining[t])
                 .and_then(|g| g.iter().rev().find_map(|d| d.values.get(&addr)).cloned())
         };
-        self.lanes[lane].resolve(
-            &self.pool,
-            &self.clock,
-            &self.trace,
-            self.config.cache_clean_reads,
-            drain_value,
-            addr,
-        )
+        self.lanes[lane].resolve(&self.pool, &self.clock, &self.trace, drain_value, addr)
     }
 
     /// One background step on the lane a request routed to: advance any
@@ -802,29 +768,25 @@ impl PaxDevice {
 
     /// Advances the device's free-running engines by `n` **virtual
     /// ticks**, fully decoupled from foreground traffic: each tick first
-    /// moves any draining non-blocking persist along
-    /// ([`SchedConfig::persist_drain_per_tick`]), then runs every lane's
-    /// log-drain and write-back engines, in lane-index order. Within each
-    /// physical shard the tick budgets are divided across the tenants
-    /// that have pending work by their scheduler weight, floored at one
-    /// unit — a log-hammering tenant gets a proportional share, never the
-    /// whole shard, and a light tenant always makes progress. In adaptive
-    /// mode ([`SchedConfig::adaptive`]) each lane's log budget scales
-    /// with its observed backlog before the weighted split.
+    /// moves any draining non-blocking persist along (4 write-back
+    /// batches per queued epoch), then runs every lane's log-drain (2
+    /// entries) and write-back (1 line) engines, in lane-index order.
+    /// Within each physical shard the tick budgets are divided evenly
+    /// across the tenants that have pending work, floored at one unit — a
+    /// log-hammering tenant never gets the whole shard, and a light
+    /// tenant always makes progress.
     ///
     /// Determinism contract: ticks are the device's only time source, so
     /// the same request sequence interleaved with the same tick schedule
     /// performs the identical sequence of durable-write steps — an armed
     /// [`CrashClock`] cuts power at the identical machine state on every
-    /// replay. (The adaptive controller keeps this: its only inputs are
-    /// queue depths, never wall-clock time.)
+    /// replay.
     ///
     /// # Errors
     ///
     /// Surfaces [`PmError::Crashed`] when the crash clock fires mid-tick,
     /// and media errors.
     pub fn tick(&self, n: u64) -> Result<u64> {
-        let cfg = self.config.sched;
         let mut total = 0u64;
         for _ in 0..n {
             let before = self.clock.steps_taken();
@@ -834,19 +796,9 @@ impl PaxDevice {
                     .map(|t| t * self.stride + s)
                     .filter(|&l| self.lane_has_background_work(l))
                     .collect();
-                let active_weight: u64 =
-                    active.iter().map(|&l| self.tenants.weight(l / self.stride) as u64).sum();
+                let share = |base| tick_share(base, active.len());
                 for &l in &active {
-                    let w = self.tenants.weight(l / self.stride) as u64;
-                    let log_budget =
-                        weighted_budget(self.sched.log_budget(l, &cfg), w, active_weight);
-                    let wb_budget = weighted_budget(cfg.writeback_per_tick, w, active_weight);
-                    self.lane_background(l, log_budget, wb_budget)?;
-                }
-            }
-            if cfg.adaptive {
-                for l in 0..self.shards.len() {
-                    self.sched.observe_log_depth(l, self.lanes[l].log.pending_len(), &cfg);
+                    self.lane_background(l, share(LOG_DRAIN_PER_TICK), share(WRITEBACK_PER_TICK))?;
                 }
             }
             let now = self.sched.advance();
@@ -1294,7 +1246,7 @@ impl PaxDevice {
     /// it is usually advancing that drain itself). In single-driver mode
     /// every `try_lock` succeeds, so the behaviour is identical. Each
     /// skip is counted (`persist_poll_skipped`), and a tenant skipped
-    /// [`DeviceConfig::poll_skip_limit`] times in a row escalates to a
+    /// [`POLL_SKIP_LIMIT`] times in a row escalates to a
     /// bounded spin so a store-heavy thread mix cannot starve an async
     /// drain indefinitely — see [`PaxDevice::poll_one_tenant`].
     fn persist_poll_try(&self) -> Result<()> {
@@ -1308,7 +1260,7 @@ impl PaxDevice {
     ///
     /// On a successful `try_lock` the skip streak resets and the drain
     /// advances as usual. On contention the skip is counted and, once the
-    /// streak reaches [`DeviceConfig::poll_skip_limit`], the poll retries
+    /// streak reaches [`POLL_SKIP_LIMIT`], the poll retries
     /// a bounded number of times with [`std::thread::yield_now`] between
     /// attempts. It must **never** hard-`lock()` the ctl slot: this code
     /// runs from `SharedComplex::write` while a host core lock is held,
@@ -1319,10 +1271,6 @@ impl PaxDevice {
     /// progress is the forward guarantee, and the streak stays armed so
     /// the very next poll spins again.
     fn poll_one_tenant(&self, t: TenantId) -> Result<()> {
-        // Bounded spin length for the starvation fallback. Big enough to
-        // outlast a poll-sized critical section on the other side, small
-        // enough that a long persist barrier cannot capture hot paths.
-        const BOUNDED_POLL_SPINS: usize = 128;
         if let Some(mut ctl) = try_lock(&self.draining[t]) {
             self.poll_skips[t].store(0, Ordering::Relaxed);
             self.poll_drain(t, &mut ctl)?;
@@ -1333,7 +1281,7 @@ impl PaxDevice {
         let h = &self.lanes[t * self.stride];
         h.metrics.inc(h.ctr.persist_poll_skipped);
         let streak = self.poll_skips[t].fetch_add(1, Ordering::Relaxed) + 1;
-        if streak < self.config.poll_skip_limit {
+        if streak < POLL_SKIP_LIMIT {
             return Ok(());
         }
         for _ in 0..BOUNDED_POLL_SPINS {
@@ -1391,8 +1339,7 @@ impl PaxDevice {
             return Ok(None);
         }
         // Phase 2: write back the scheduler's persist-drain budget of
-        // *batches* per poll (clamped to 1 so `persist_wait` always makes
-        // progress). Each batch greedily extends along the queue while
+        // *batches* per poll. Each batch greedily extends along the queue while
         // the lines stay contiguous in lane-local space, sharing one
         // durable-write step like the synchronous pipeline.
         let stride = self.stride;
@@ -1400,8 +1347,8 @@ impl PaxDevice {
         // The budget scales with queue depth so a buffered device drains
         // K epochs as fast as a synchronous one drains one; with ≤ 1
         // queued epoch (strict/epoch) this is exactly the historical
-        // `persist_drain_per_tick` budget.
-        for _ in 0..persist_drain_budget(&self.config.sched, ctl.len()) {
+        // per-poll budget of 4 batches.
+        for _ in 0..persist_drain_budget(ctl.len()) {
             let Some(ds) = ctl.front_mut() else { break };
             let Some(addr) = ds.queue.pop_front() else { break };
             // Lines resolved early (dirty_evict ordering) have no value.
@@ -2230,33 +2177,6 @@ mod tests {
         assert_eq!(snap.counter("tenant1/persists"), 0);
     }
 
-    #[test]
-    fn adaptive_budgets_drain_backlog_faster() {
-        let run = |adaptive: bool| -> u64 {
-            let pool = PmPool::create(PoolConfig::small()).unwrap();
-            let sched = if adaptive {
-                SchedConfig::default().with_adaptive()
-            } else {
-                SchedConfig::default()
-            };
-            let config =
-                DeviceConfig::default().with_log_pump_interval(usize::MAX).with_sched(sched);
-            let mut device = PaxDevice::open(pool, config).unwrap();
-            let mut cache = CoherentCache::new(CacheConfig::tiny(64 << 10, 8));
-            for i in 0..64u64 {
-                cache.write(LineAddr(i), CacheLine::filled(1), &mut device).unwrap();
-            }
-            let mut ticks = 0u64;
-            while device.log_durable_offset() < 64 {
-                device.tick(1).unwrap();
-                ticks += 1;
-                assert!(ticks < 1_000, "backlog must drain");
-            }
-            ticks
-        };
-        assert!(run(true) < run(false), "adaptive boost must drain a deep backlog in fewer ticks");
-    }
-
     /// Host writes `n` lines, then gives every copy back via dirty
     /// eviction — the directory's filtered case.
     fn write_then_evict_all(device: &mut PaxDevice, cache: &mut CoherentCache, n: u64) {
@@ -2374,36 +2294,19 @@ mod tests {
     }
 
     #[test]
-    fn tenant_hbm_shares_slice_lane_capacity() {
+    fn tenants_split_hbm_evenly_across_lanes() {
         let pool = PmPool::create(PoolConfig::small()).unwrap();
-        let mut regions = even_split(pool.layout().data_lines, 2);
-        regions[0] = regions[0].with_hbm_share(3);
-        // Tenant 1 keeps the default share of 1.
-        let config = DeviceConfig::default().with_hbm(HbmConfig {
+        let regions = even_split(pool.layout().data_lines, 2);
+        let config = DeviceConfig::default().with_shards(2).with_hbm(HbmConfig {
             capacity_bytes: 64 * pax_pm::LINE_SIZE,
             ways: 2,
             policy: EvictionPolicy::Lru,
         });
         let device = PaxDevice::open_multi(pool, config, regions).unwrap();
-        // 64 lines split 3:1 across tenants, one lane each.
-        assert_eq!(device.lanes[0].hbm.capacity_lines(), 48);
-        assert_eq!(device.lanes[1].hbm.capacity_lines(), 16);
-    }
-
-    #[test]
-    fn small_hbm_share_is_floored_at_one_set() {
-        let pool = PmPool::create(PoolConfig::small()).unwrap();
-        let mut regions = even_split(pool.layout().data_lines, 2);
-        regions[0] = regions[0].with_hbm_share(63);
-        let config = DeviceConfig::default().with_hbm(HbmConfig {
-            capacity_bytes: 64 * pax_pm::LINE_SIZE,
-            ways: 8,
-            policy: EvictionPolicy::Lru,
-        });
-        let device = PaxDevice::open_multi(pool, config, regions).unwrap();
-        // Tenant 1's 1/64 share is one line — rounded up to a full 8-way
-        // set so the lane still functions.
-        assert_eq!(device.lanes[1].hbm.capacity_lines(), 8);
+        // 64 lines split evenly across 2 tenants × 2 shards.
+        for lane in 0..4 {
+            assert_eq!(device.lanes[lane].hbm.capacity_lines(), 16);
+        }
     }
 
     #[test]
@@ -2412,10 +2315,17 @@ mod tests {
         let err =
             PaxDevice::open(mk(), DeviceConfig::default().with_persist_wb_batch(0)).unwrap_err();
         assert!(matches!(err, PmError::Config(_)), "got {err}");
-        let regions = vec![TenantRegion::new(0, 64).with_hbm_share(0)];
-        let err = PaxDevice::open_multi(mk(), DeviceConfig::default(), regions).unwrap_err();
+        // 64 lines over 2 tenants × 8 shards leaves each lane a zero
+        // share of 8-way sets.
+        let config = DeviceConfig::default().with_shards(8).with_hbm(HbmConfig {
+            capacity_bytes: 64 * pax_pm::LINE_SIZE,
+            ways: 8,
+            policy: EvictionPolicy::Lru,
+        });
+        let regions = even_split(mk().layout().data_lines, 2);
+        let err = PaxDevice::open_multi(mk(), config, regions).unwrap_err();
         assert!(matches!(err, PmError::Config(_)), "got {err}");
-        assert!(err.to_string().contains("HBM share"));
+        assert!(err.to_string().contains("cannot give each of 16 lanes"), "got {err}");
     }
 
     #[test]
@@ -2441,13 +2351,13 @@ mod tests {
 
     /// Regression for the `persist_poll_try` starvation bug: a contended
     /// ctl lock used to be skipped silently and forever. Now every skip
-    /// is counted, and once the streak passes `poll_skip_limit` the poll
+    /// is counted, and once the streak passes `POLL_SKIP_LIMIT` the poll
     /// escalates to the bounded spin — which wins as soon as the holder
     /// lets go, so the async drain commits instead of starving.
     #[test]
     fn contended_poll_counts_skips_and_drains_after_release() {
         // Two shards, so the labeled `shard{s}/` rollup exists to check.
-        let (mut device, mut cache) = setup_cfg(DeviceConfig::default().with_poll_skip_limit(4), 2);
+        let (mut device, mut cache) = setup_cfg(DeviceConfig::default(), 2);
         for i in 0..6u64 {
             cache.write(LineAddr(i), CacheLine::filled(i as u8), &mut device).unwrap();
         }
@@ -2455,18 +2365,21 @@ mod tests {
         {
             // A persist barrier on another thread, frozen mid-flight.
             let _ctl = lock(&device.draining[0]);
-            for _ in 0..6 {
+            // Polls from the limit on escalate to the bounded spin, which
+            // loses to the frozen holder and leaves the streak armed.
+            let polls = POLL_SKIP_LIMIT + 2;
+            for _ in 0..polls {
                 device.persist_poll_try().unwrap();
             }
             let m = device.metrics();
-            assert_eq!(m.persist_poll_skipped, 6, "every contended poll must be counted");
-            assert_eq!(device.poll_skips[0].load(Ordering::Relaxed), 6, "streak armed");
+            assert_eq!(m.persist_poll_skipped, polls, "every contended poll must be counted");
+            assert_eq!(device.poll_skips[0].load(Ordering::Relaxed), polls, "streak armed");
             // The skips land on a lane, so the labeled rollup carries them.
             let snap = device.metric_snapshot();
             assert_eq!(
                 snap.counter("shard0/persist_poll_skipped")
                     + snap.counter("shard1/persist_poll_skipped"),
-                6,
+                polls,
                 "labeled skips must sum to the total"
             );
         }
@@ -2561,12 +2474,5 @@ mod tests {
         assert_eq!(m.rd_own, 800, "every RdOwn counted");
         assert_eq!(m.undo_entries, 16, "epoch-log dedup admits each line once");
         assert_eq!(m.hbm_hits + m.hbm_misses, 800, "every resolve classified");
-    }
-
-    #[test]
-    fn config_rejects_zero_poll_skip_limit() {
-        let pool = PmPool::create(PoolConfig::small()).unwrap();
-        let err = PaxDevice::open(pool, DeviceConfig::default().with_poll_skip_limit(0));
-        assert!(matches!(err.unwrap_err(), PmError::Config(_)));
     }
 }

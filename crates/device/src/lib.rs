@@ -25,10 +25,10 @@
 //!   with an epoch newer than the pool's committed epoch.
 //! * [`tenant`] — [`TenantMap`]: the validated multi-pool layout; one
 //!   device hosts `T` tenant contexts, each with its own vPM extent,
-//!   epoch counter, header epoch slot, and scheduler weight.
+//!   epoch counter, header epoch slot, and recovery state.
 //! * [`sched`] — the virtual-time scheduler: background engines advance
 //!   on explicit, budgeted ticks in a fixed shard order, with per-shard
-//!   budgets divided across active tenants by weight, so progress is
+//!   budgets divided evenly across active tenants, so progress is
 //!   decoupled from foreground traffic yet crash points stay replayable.
 //! * [`metrics`] — event counters consumed by the benchmark harness.
 //!
@@ -73,7 +73,7 @@ pub use endpoint::CxlEndpoint;
 pub use hbm::{EvictionPolicy, HbmCache, HbmConfig, HbmLine};
 pub use metrics::DeviceMetrics;
 pub use recovery::{recover, recover_traced, RecoveryReport};
-pub use sched::{DeviceScheduler, SchedConfig};
+pub use sched::DeviceScheduler;
 pub use shard::DeviceShard;
 pub use tenant::{even_split, TenantId, TenantMap, TenantRegion};
 pub use undo_log::{UndoEntry, UndoLog, ENTRY_LINES};

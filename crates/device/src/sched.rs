@@ -19,108 +19,41 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Per-tick engine budgets of a [`DeviceScheduler`].
-///
-/// The defaults match the request-path pump rates
+/// Undo-log entries each lane's logging engine drains per tick. Equal to
+/// the request-path pump batch
 /// ([`DeviceConfig::log_pump_batch`](crate::DeviceConfig::log_pump_batch)
-/// = 2, `writeback_batch` = 1) and the persist drain rate `persist_poll`
-/// historically hard-coded (4), so a device driven only by foreground
-/// traffic behaves exactly as before this scheduler existed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SchedConfig {
-    /// Undo-log entries each shard's logging engine drains per tick.
-    pub log_drain_per_tick: usize,
-    /// Dirty-durable lines each shard writes back per tick (§3.3's
-    /// proactive write back).
-    pub writeback_per_tick: usize,
-    /// Coalesced write-back *batches* of a draining non-blocking persist
-    /// issued per tick (and per `persist_poll`); each batch covers up to
-    /// `DeviceConfig::persist_wb_batch` contiguous lines in one
-    /// durable-write step.
-    pub persist_drain_per_tick: usize,
-    /// When true, each lane's effective log-drain budget adapts to its
-    /// pending-log depth: it doubles (up to `log_drain_per_tick *
-    /// log_boost_max`) whenever the depth reaches `log_high_water`, and
-    /// halves back toward the base whenever it falls to `log_low_water`.
-    /// The inputs are pure device state — queue depths, never wall-clock
-    /// time — so tick-schedule crash replay stays deterministic.
-    pub adaptive: bool,
-    /// Pending-depth threshold that grows the boost (adaptive mode).
-    pub log_high_water: usize,
-    /// Pending-depth threshold that decays the boost (adaptive mode).
-    pub log_low_water: usize,
-    /// Ceiling on the adaptive boost multiplier.
-    pub log_boost_max: usize,
-}
+/// default of 2), so a device driven only by foreground traffic behaves
+/// exactly as before this scheduler existed.
+pub(crate) const LOG_DRAIN_PER_TICK: usize = 2;
 
-impl SchedConfig {
-    /// Returns the config with a different log-drain budget.
-    pub fn with_log_drain(mut self, n: usize) -> Self {
-        self.log_drain_per_tick = n;
-        self
-    }
+/// Dirty-durable lines each lane writes back per tick (§3.3's proactive
+/// write back), equal to the `writeback_batch` default of 1.
+pub(crate) const WRITEBACK_PER_TICK: usize = 1;
 
-    /// Returns the config with a different write-back budget.
-    pub fn with_writeback(mut self, n: usize) -> Self {
-        self.writeback_per_tick = n;
-        self
-    }
-
-    /// Returns the config with a different persist-drain budget.
-    pub fn with_persist_drain(mut self, n: usize) -> Self {
-        self.persist_drain_per_tick = n;
-        self
-    }
-
-    /// Enables adaptive log-drain budgets with the default watermarks.
-    pub fn with_adaptive(mut self) -> Self {
-        self.adaptive = true;
-        self
-    }
-
-    /// Enables adaptive budgets with explicit watermarks and boost cap.
-    pub fn with_adaptive_watermarks(mut self, high: usize, low: usize, boost_max: usize) -> Self {
-        self.adaptive = true;
-        self.log_high_water = high;
-        self.log_low_water = low;
-        self.log_boost_max = boost_max.max(1);
-        self
-    }
-}
-
-impl Default for SchedConfig {
-    fn default() -> Self {
-        SchedConfig {
-            log_drain_per_tick: 2,
-            writeback_per_tick: 1,
-            persist_drain_per_tick: 4,
-            adaptive: false,
-            log_high_water: 16,
-            log_low_water: 4,
-            log_boost_max: 8,
-        }
-    }
-}
+/// Coalesced write-back *batches* of a draining non-blocking persist
+/// issued per tick (and per `persist_poll`); each batch covers up to
+/// `DeviceConfig::persist_wb_batch` contiguous lines in one durable-write
+/// step. The rate `persist_poll` historically hard-coded.
+pub(crate) const PERSIST_DRAIN_PER_TICK: usize = 4;
 
 /// Per-poll persist-drain budget, scaled by how many closed epochs the
-/// tenant has queued: `persist_drain_per_tick * open_epochs`, each term
-/// floored at 1. With at most one queued epoch (the strict and epoch
-/// persistency models) this is exactly the historical per-poll budget;
-/// under buffered-epoch the drain engine keeps per-epoch service constant
-/// as the queue deepens instead of letting K epochs share one budget.
-pub(crate) fn persist_drain_budget(cfg: &SchedConfig, open_epochs: usize) -> usize {
-    cfg.persist_drain_per_tick.max(1).saturating_mul(open_epochs.max(1))
+/// tenant has queued: `PERSIST_DRAIN_PER_TICK * open_epochs`, with the
+/// epoch count floored at 1. With at most one queued epoch (the strict
+/// and epoch persistency models) this is exactly the historical per-poll
+/// budget; under buffered-epoch the drain engine keeps per-epoch service
+/// constant as the queue deepens instead of letting K epochs share one
+/// budget.
+pub(crate) fn persist_drain_budget(open_epochs: usize) -> usize {
+    PERSIST_DRAIN_PER_TICK * open_epochs.max(1)
 }
 
-/// Weighted share of a per-shard tick budget: `base * weight /
-/// active_weight`, floored at 1 so a tenant with pending work always
-/// makes progress — starvation is impossible by construction, whatever
-/// the weights. With one active tenant the share is the whole budget.
-pub(crate) fn weighted_budget(base: usize, weight: u64, active_weight: u64) -> usize {
-    if base == 0 {
-        return 0;
-    }
-    ((base as u64 * weight) / active_weight.max(1)).max(1) as usize
+/// One active tenant lane's share of a per-shard tick budget: `base`
+/// split evenly across the `active` (≥ 1) tenant lanes of the shard that
+/// have pending work, floored at 1 so a tenant with pending work always
+/// makes progress — starvation is impossible by construction. With one
+/// active tenant the share is the whole budget.
+pub(crate) fn tick_share(base: usize, active: usize) -> usize {
+    (base / active).max(1)
 }
 
 /// Deterministic run-queue state for one device: virtual time, per-shard
@@ -141,8 +74,6 @@ pub struct DeviceScheduler {
     credits: Vec<AtomicUsize>,
     /// Round-robin cursor over lanes for the donated idle-lane step.
     cursor: AtomicUsize,
-    /// Adaptive log-drain boost multiplier per lane (1 = base rate).
-    boosts: Vec<AtomicUsize>,
 }
 
 impl DeviceScheduler {
@@ -154,38 +85,6 @@ impl DeviceScheduler {
             ticks: AtomicU64::new(0),
             credits: (0..lanes).map(|_| AtomicUsize::new(0)).collect(),
             cursor: AtomicUsize::new(0),
-            boosts: (0..lanes).map(|_| AtomicUsize::new(1)).collect(),
-        }
-    }
-
-    /// The effective log-drain budget of `lane` this tick: the configured
-    /// base times the lane's adaptive boost (1 when adaptive mode is off).
-    pub(crate) fn log_budget(&self, lane: usize, cfg: &SchedConfig) -> usize {
-        if cfg.adaptive {
-            cfg.log_drain_per_tick * self.boosts[lane].load(Ordering::Relaxed)
-        } else {
-            cfg.log_drain_per_tick
-        }
-    }
-
-    /// The current adaptive boost multiplier of `lane`.
-    pub fn boost(&self, lane: usize) -> usize {
-        self.boosts[lane].load(Ordering::Relaxed)
-    }
-
-    /// Feeds `lane`'s observed pending-log depth into the adaptive
-    /// controller. Depth is device state, never wall-clock, preserving
-    /// the replay-determinism contract.
-    pub(crate) fn observe_log_depth(&self, lane: usize, pending: usize, cfg: &SchedConfig) {
-        if !cfg.adaptive {
-            return;
-        }
-        let boost = &self.boosts[lane];
-        let cur = boost.load(Ordering::Relaxed);
-        if pending >= cfg.log_high_water {
-            boost.store((cur * 2).min(cfg.log_boost_max.max(1)), Ordering::Relaxed);
-        } else if pending <= cfg.log_low_water {
-            boost.store((cur / 2).max(1), Ordering::Relaxed);
         }
     }
 
@@ -242,10 +141,10 @@ mod tests {
 
     #[test]
     fn default_budgets_match_the_legacy_pump_rates() {
-        let c = SchedConfig::default();
-        assert_eq!(c.log_drain_per_tick, 2);
-        assert_eq!(c.writeback_per_tick, 1);
-        assert_eq!(c.persist_drain_per_tick, 4);
+        let c = crate::DeviceConfig::default();
+        assert_eq!(LOG_DRAIN_PER_TICK, c.log_pump_batch);
+        assert_eq!(WRITEBACK_PER_TICK, c.writeback_batch);
+        assert_eq!(PERSIST_DRAIN_PER_TICK, 4);
     }
 
     #[test]
@@ -275,59 +174,23 @@ mod tests {
     }
 
     #[test]
-    fn weighted_budget_splits_by_weight_with_a_floor_of_one() {
-        // Two active tenants at 3:1 split a budget of 4.
-        assert_eq!(weighted_budget(4, 3, 4), 3);
-        assert_eq!(weighted_budget(4, 1, 4), 1);
+    fn tick_share_splits_evenly_with_a_floor_of_one() {
+        // Two active tenants split a budget of 4 evenly.
+        assert_eq!(tick_share(4, 2), 2);
         // A lone tenant gets the whole budget.
-        assert_eq!(weighted_budget(4, 7, 7), 4);
-        // Tiny weights still make progress; a zero base stays disabled.
-        assert_eq!(weighted_budget(2, 1, 100), 1);
-        assert_eq!(weighted_budget(0, 1, 2), 0);
+        assert_eq!(tick_share(4, 1), 4);
+        // A budget smaller than the active count still makes progress.
+        assert_eq!(tick_share(2, 100), 1);
+        assert_eq!(tick_share(1, 2), 1);
     }
 
     #[test]
     fn persist_drain_budget_scales_with_queued_epochs() {
-        let cfg = SchedConfig::default();
         // Empty or single-epoch queues get exactly the legacy budget.
-        assert_eq!(persist_drain_budget(&cfg, 0), cfg.persist_drain_per_tick);
-        assert_eq!(persist_drain_budget(&cfg, 1), cfg.persist_drain_per_tick);
+        assert_eq!(persist_drain_budget(0), PERSIST_DRAIN_PER_TICK);
+        assert_eq!(persist_drain_budget(1), PERSIST_DRAIN_PER_TICK);
         // Deeper buffered-epoch queues scale linearly.
-        assert_eq!(persist_drain_budget(&cfg, 4), 4 * cfg.persist_drain_per_tick);
-        // A zero configured budget still makes progress (persist_wait
-        // must terminate).
-        assert_eq!(persist_drain_budget(&cfg.with_persist_drain(0), 2), 2);
-    }
-
-    #[test]
-    fn adaptive_boost_grows_at_high_water_and_decays_at_low_water() {
-        let cfg = SchedConfig::default().with_adaptive_watermarks(8, 2, 4);
-        let sched = DeviceScheduler::new(1);
-        assert_eq!(sched.log_budget(0, &cfg), cfg.log_drain_per_tick);
-        sched.observe_log_depth(0, 8, &cfg);
-        assert_eq!(sched.boost(0), 2);
-        sched.observe_log_depth(0, 20, &cfg);
-        assert_eq!(sched.boost(0), 4);
-        sched.observe_log_depth(0, 100, &cfg);
-        assert_eq!(sched.boost(0), 4, "boost is capped");
-        assert_eq!(sched.log_budget(0, &cfg), 2 * 4);
-        // Between the watermarks the boost holds steady.
-        sched.observe_log_depth(0, 5, &cfg);
-        assert_eq!(sched.boost(0), 4);
-        sched.observe_log_depth(0, 2, &cfg);
-        assert_eq!(sched.boost(0), 2);
-        sched.observe_log_depth(0, 0, &cfg);
-        sched.observe_log_depth(0, 0, &cfg);
-        assert_eq!(sched.boost(0), 1, "boost decays back to the base rate");
-    }
-
-    #[test]
-    fn non_adaptive_mode_ignores_depth_observations() {
-        let cfg = SchedConfig::default();
-        let sched = DeviceScheduler::new(1);
-        sched.observe_log_depth(0, 1_000, &cfg);
-        assert_eq!(sched.boost(0), 1);
-        assert_eq!(sched.log_budget(0, &cfg), cfg.log_drain_per_tick);
+        assert_eq!(persist_drain_budget(4), 4 * PERSIST_DRAIN_PER_TICK);
     }
 
     #[test]

@@ -402,14 +402,13 @@ impl LaneHandles {
     }
 
     /// The lane's view of the current contents of `addr`: HBM first,
-    /// then a draining epoch's captured value, then PM.
-    #[allow(clippy::too_many_arguments)]
+    /// then a draining epoch's captured value, then PM. A line read from
+    /// PM is cached clean in HBM.
     pub(crate) fn resolve(
         &self,
         pool: &PoolCell,
         clock: &CrashClock,
         trace: &TraceCell,
-        cache_clean_reads: bool,
         drain_value: Option<CacheLine>,
         addr: LineAddr,
     ) -> Result<CacheLine> {
@@ -428,12 +427,10 @@ impl LaneHandles {
             self.metrics.inc(self.ctr.pm_reads);
             pm.read_line(abs)?
         };
-        if cache_clean_reads {
-            // if_absent: a concurrent RdOwn may have inserted a dirty
-            // line for this address since the PM read above — the stale
-            // clean copy must not clobber it.
-            self.hbm_refresh_clean(pool, clock, trace, addr, data.clone(), true)?;
-        }
+        // if_absent: a concurrent RdOwn may have inserted a dirty line for
+        // this address since the PM read above — the stale clean copy must
+        // not clobber it.
+        self.hbm_refresh_clean(pool, clock, trace, addr, data.clone(), true)?;
         Ok(data)
     }
 
@@ -536,9 +533,9 @@ impl DeviceShard {
     /// `hbm` and the log bank `[log_base, log_base +
     /// log_capacity_entries)` of the pool's log region. The caller —
     /// [`PaxDevice::open_multi`](crate::PaxDevice::open_multi) — slices
-    /// the device's total HBM capacity across lanes (weighted by each
-    /// tenant's HBM share) before construction, flooring every lane at
-    /// one full associativity set.
+    /// the device's total HBM capacity evenly across lanes before
+    /// construction, after validating that every slice holds one full
+    /// associativity set.
     pub(crate) fn new(
         index: usize,
         tenant: usize,
@@ -547,17 +544,13 @@ impl DeviceShard {
         log_base: u64,
         log_capacity_entries: u64,
     ) -> Self {
-        let per_lane = HbmConfig {
-            capacity_bytes: hbm.capacity_bytes.max(hbm.ways * pax_pm::LINE_SIZE),
-            ..hbm
-        };
         let mut metrics = MetricSet::new(COMPONENT);
         let ctr = DeviceCounters::register(&mut metrics);
         let h = LaneHandles {
             tenant,
             phase: (index % stride.max(1)) as u64,
             stride: stride as u64,
-            hbm: Arc::new(HbmCache::new(per_lane)),
+            hbm: Arc::new(HbmCache::new(hbm)),
             epoch_log: Arc::new(EpochLog::new()),
             writeback_queue: Arc::new(WbQueue::default()),
             directory: Arc::new(OwnershipDirectory::new()),

@@ -10,8 +10,7 @@
 //! The types here carve the device's vPM range into tenant regions and
 //! route addresses to their owner:
 //!
-//! * [`TenantRegion`] — one tenant's contiguous slice of the data region
-//!   plus its scheduler weight,
+//! * [`TenantRegion`] — one tenant's contiguous slice of the data region,
 //! * [`TenantMap`] — the validated set of regions (disjoint, in bounds,
 //!   at most [`MAX_TENANTS`]) with O(log n) owner lookup.
 //!
@@ -22,8 +21,9 @@
 //! tenant A's `persist()` flushes only A's lanes, commits only A's header
 //! slot, and recycles only A's log slots — B's in-flight epoch is never
 //! touched. What the lanes *share* is capacity and time: the HBM and log
-//! region are split across all lanes, and each physical shard's per-tick
-//! budgets are divided across its tenant lanes by weight
+//! region are split evenly across all lanes, and each physical shard's
+//! per-tick budgets are divided evenly across its tenant lanes with
+//! pending work, at least one unit each
 //! (see [`DeviceScheduler`](crate::DeviceScheduler)).
 
 use pax_pm::{LineAddr, PmError, Result, MAX_TENANTS};
@@ -31,42 +31,19 @@ use pax_pm::{LineAddr, PmError, Result, MAX_TENANTS};
 /// Index of a tenant's pool context within a device (dense, 0-based).
 pub type TenantId = usize;
 
-/// One tenant's slice of the device's vPM range, plus its scheduler
-/// weight.
+/// One tenant's slice of the device's vPM range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantRegion {
     /// First vPM line of the tenant's extent.
     pub vpm_base: u64,
     /// Lines in the tenant's extent (must be nonzero).
     pub vpm_lines: u64,
-    /// Weighted-round-robin share of each shard's tick budgets
-    /// (must be nonzero; every tenant with pending work is still
-    /// guaranteed at least one unit per tick regardless of weight).
-    pub weight: u32,
-    /// Weighted share of the device's HBM capacity (must be nonzero):
-    /// the buffer is sliced across tenants proportionally to their
-    /// shares, the way [`TenantRegion::weight`] already splits tick
-    /// budgets. Every lane is still floored at one full associativity
-    /// set, so a small share bounds the slice, never zeroes it.
-    pub hbm_share: u32,
 }
 
 impl TenantRegion {
-    /// A region at `vpm_base` spanning `vpm_lines`, weight 1, HBM share 1.
+    /// A region at `vpm_base` spanning `vpm_lines`.
     pub fn new(vpm_base: u64, vpm_lines: u64) -> Self {
-        TenantRegion { vpm_base, vpm_lines, weight: 1, hbm_share: 1 }
-    }
-
-    /// Returns the region with a different scheduler weight.
-    pub fn with_weight(mut self, weight: u32) -> Self {
-        self.weight = weight;
-        self
-    }
-
-    /// Returns the region with a different HBM capacity share.
-    pub fn with_hbm_share(mut self, share: u32) -> Self {
-        self.hbm_share = share;
-        self
+        TenantRegion { vpm_base, vpm_lines }
     }
 
     /// First line past the extent.
@@ -81,8 +58,8 @@ impl TenantRegion {
 }
 
 /// Splits `data_lines` of vPM into `n` contiguous equal extents (the
-/// remainder goes to the last tenant), all at weight 1 — the layout
-/// `PaxConfig::with_tenants` uses.
+/// remainder goes to the last tenant) — the layout
+/// `PaxConfig::with_tenants` uses. A zero `n` is treated as 1.
 pub fn even_split(data_lines: u64, n: usize) -> Vec<TenantRegion> {
     let n = n.max(1) as u64;
     let per = data_lines / n;
@@ -102,7 +79,6 @@ pub struct TenantMap {
     regions: Vec<TenantRegion>,
     /// `(vpm_base, tenant)` sorted by base, for binary-search lookup.
     by_base: Vec<(u64, TenantId)>,
-    total_weight: u64,
 }
 
 impl TenantMap {
@@ -111,8 +87,8 @@ impl TenantMap {
     /// # Errors
     ///
     /// Returns [`PmError::Config`] when there are no regions or more than
-    /// [`MAX_TENANTS`], a region is zero-length, zero-weight, or out of
-    /// bounds, or two regions overlap.
+    /// [`MAX_TENANTS`], a region is zero-length or out of bounds, or two
+    /// regions overlap.
     pub fn new(regions: Vec<TenantRegion>, data_lines: u64) -> Result<Self> {
         if regions.is_empty() {
             return Err(PmError::Config("a device needs at least one tenant region".into()));
@@ -126,12 +102,6 @@ impl TenantMap {
         for (t, r) in regions.iter().enumerate() {
             if r.vpm_lines == 0 {
                 return Err(PmError::Config(format!("tenant {t} region is zero-length")));
-            }
-            if r.weight == 0 {
-                return Err(PmError::Config(format!("tenant {t} has zero scheduler weight")));
-            }
-            if r.hbm_share == 0 {
-                return Err(PmError::Config(format!("tenant {t} has zero HBM share")));
             }
             if r.end() > data_lines {
                 return Err(PmError::Config(format!(
@@ -155,8 +125,7 @@ impl TenantMap {
                 )));
             }
         }
-        let total_weight = regions.iter().map(|r| r.weight as u64).sum();
-        Ok(TenantMap { regions, by_base, total_weight })
+        Ok(TenantMap { regions, by_base })
     }
 
     /// Number of tenants.
@@ -172,26 +141,6 @@ impl TenantMap {
     /// Tenant `t`'s region.
     pub fn region(&self, t: TenantId) -> TenantRegion {
         self.regions[t]
-    }
-
-    /// Tenant `t`'s scheduler weight.
-    pub fn weight(&self, t: TenantId) -> u32 {
-        self.regions[t].weight
-    }
-
-    /// Sum of all tenants' weights.
-    pub fn total_weight(&self) -> u64 {
-        self.total_weight
-    }
-
-    /// Tenant `t`'s HBM capacity share.
-    pub fn hbm_share(&self, t: TenantId) -> u32 {
-        self.regions[t].hbm_share
-    }
-
-    /// Sum of all tenants' HBM shares.
-    pub fn total_hbm_shares(&self) -> u64 {
-        self.regions.iter().map(|r| r.hbm_share as u64).sum()
     }
 
     /// The tenant owning vPM line `addr`, if any region contains it.
@@ -261,40 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn rejects_empty_zero_weight_and_too_many() {
+    fn rejects_empty_and_too_many() {
         assert!(matches!(TenantMap::new(vec![], 100), Err(PmError::Config(_))));
-        let zero_w = vec![TenantRegion::new(0, 10).with_weight(0)];
-        assert!(matches!(TenantMap::new(zero_w, 100), Err(PmError::Config(_))));
         let many = even_split(4096, MAX_TENANTS + 1);
         assert!(matches!(TenantMap::new(many, 4096), Err(PmError::Config(_))));
-    }
-
-    #[test]
-    fn rejects_zero_hbm_share() {
-        let zero_s = vec![TenantRegion::new(0, 10).with_hbm_share(0)];
-        let err = TenantMap::new(zero_s, 100).unwrap_err();
-        assert!(matches!(err, PmError::Config(_)), "got {err}");
-        assert!(err.to_string().contains("HBM share"));
-    }
-
-    #[test]
-    fn hbm_shares_accumulate_and_default_to_one() {
-        let regions = vec![
-            TenantRegion::new(0, 10).with_hbm_share(3),
-            TenantRegion::new(10, 10), // default share 1
-        ];
-        let map = TenantMap::new(regions, 100).unwrap();
-        assert_eq!(map.hbm_share(0), 3);
-        assert_eq!(map.hbm_share(1), 1);
-        assert_eq!(map.total_hbm_shares(), 4);
-    }
-
-    #[test]
-    fn weights_accumulate() {
-        let regions =
-            vec![TenantRegion::new(0, 10).with_weight(3), TenantRegion::new(10, 10).with_weight(1)];
-        let map = TenantMap::new(regions, 100).unwrap();
-        assert_eq!(map.weight(0), 3);
-        assert_eq!(map.total_weight(), 4);
     }
 }

@@ -310,7 +310,7 @@ impl Backend {
                         service_ns: machine.device_service_ns,
                     });
                     // Under full multi-tenant contention a lane sees one
-                    // tick's budget every T ticks (weighted round-robin),
+                    // tick's budget every T ticks (equal-share round-robin),
                     // stretching the admission period accordingly.
                     let tick_share = machine.device_tick_ns * machine.device_tenants.max(1) as u64;
                     stages.push(Stage::UseAny {

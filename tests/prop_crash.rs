@@ -322,26 +322,15 @@ proptest! {
     /// write sequence interleaved with the same tick schedule, with the
     /// crash clock armed at the same step, replays the IDENTICAL crash
     /// state — crash outcome, committed epoch, and every recovered line.
-    /// Holds with the adaptive budget controller on too: its inputs are
-    /// queue depths (device state), never wall-clock time.
     #[test]
     fn identical_tick_schedules_replay_identical_crash_states(
         ticks in proptest::collection::vec(0u64..6, 8..32),
         crash_offset in 1u64..250,
-        adaptive in any::<bool>(),
     ) {
         use libpax::MemSpace;
-        use pax_device::{DeviceConfig, SchedConfig};
 
         let run = || {
-            let mut cfg = config();
-            if adaptive {
-                cfg = cfg.with_device(
-                    DeviceConfig::default()
-                        .with_sched(SchedConfig::default().with_adaptive_watermarks(8, 2, 4)),
-                );
-            }
-            let pool = PaxPool::create(cfg).unwrap();
+            let pool = PaxPool::create(config()).unwrap();
             let vpm = pool.vpm();
             // A fresh pool's crash clock starts at step 0, so the same
             // offset names the same durable-write step in both runs.

@@ -2,9 +2,9 @@
 //! malformed pool files must never panic, and must never corrupt the
 //! parts of recovery that remain valid.
 
-use libpax::{MemSpace, PaxConfig, PaxPool};
+use libpax::{MemSpace, PaxConfig, PaxError, PaxPool};
 use pax_device::{recover, UndoLog};
-use pax_pm::{CacheLine, LineAddr, PmPool, PoolConfig};
+use pax_pm::{CacheLine, LineAddr, PmError, PmPool, PoolConfig};
 use proptest::prelude::*;
 
 fn config() -> PaxConfig {
@@ -143,4 +143,31 @@ fn double_recovery_after_corruption_is_stable() {
     let s1 = UndoLog::scan(&mut pm).unwrap();
     let s2 = UndoLog::scan(&mut pm).unwrap();
     assert_eq!(s1, s2);
+}
+
+/// Opens `config` and returns the error `PaxPool::create` reports.
+fn open_error(config: PaxConfig) -> PaxError {
+    match PaxPool::create(config) {
+        Ok(pool) => panic!(
+            "expected a config error, opened a pool with {:?} tenants",
+            pool.tenant_count().ok()
+        ),
+        Err(e) => e,
+    }
+}
+
+#[test]
+fn zero_tenants_is_a_typed_config_error() {
+    let err = open_error(config().with_tenants(0));
+    assert!(matches!(err, PaxError::Pm(PmError::Config(_))), "got {err}");
+    assert!(err.to_string().contains("tenant"), "got {err}");
+}
+
+#[test]
+fn zero_cores_is_a_typed_config_error() {
+    let err = open_error(config().with_cores(0));
+    assert!(matches!(err, PaxError::Pm(PmError::Config(_))), "got {err}");
+    assert!(err.to_string().contains("core"), "got {err}");
+    let err = open_error(PaxConfig { cores: 0, ..config() });
+    assert!(matches!(err, PaxError::Pm(PmError::Config(_))), "got {err}");
 }

@@ -5,14 +5,14 @@
 //! The isolation contract under test: tenant A's `persist()` commits A's
 //! epoch without flushing or stalling B's; a crash rolls each tenant
 //! back to *its own* last committed snapshot even though all tenants'
-//! undo entries interleave in the shared log region; and the weighted
-//! scheduler never starves a light tenant behind a heavy one.
+//! undo entries interleave in the shared log region; and the
+//! equal-share scheduler never starves a light tenant behind a heavy one.
 
 use std::collections::HashMap as StdMap;
 
 use libpax::{MemSpace, PaxConfig, PaxPool};
 use pax_cache::{CacheConfig, CoherentCache};
-use pax_device::{DeviceConfig, PaxDevice, SchedConfig, TenantRegion};
+use pax_device::{DeviceConfig, PaxDevice, TenantRegion};
 use pax_pm::{CacheLine, LineAddr, PmPool, PoolConfig, LINE_SIZE};
 use proptest::prelude::*;
 
@@ -76,19 +76,16 @@ fn tenant_telemetry_labels_conserve() {
     assert_eq!(t.counter("device", "tenant1/persists"), 0);
 }
 
-/// Weighted round-robin no-starvation regression: a weight-1 tenant
-/// sharing a shard with a weight-7 log-hammering tenant still drains its
-/// log on every tick (the floor-of-one guarantee), and the heavy tenant
-/// gets the larger share.
+/// No-starvation regression: a light tenant sharing each shard with a
+/// log-hammering tenant drains its log on the first tick, because the
+/// per-shard tick budget is split evenly across the tenants with pending
+/// work, at least one unit each (the floor-of-one guarantee).
 #[test]
 fn weighted_scheduler_never_starves_the_light_tenant() {
     let pool = PmPool::create(PoolConfig::small()).unwrap();
     let data_lines = pool.layout().data_lines;
     let half = data_lines / 2;
-    let regions = vec![
-        TenantRegion::new(0, half).with_weight(7),
-        TenantRegion::new(half, data_lines - half).with_weight(1),
-    ];
+    let regions = vec![TenantRegion::new(0, half), TenantRegion::new(half, data_lines - half)];
     // Foreground never pumps: only ticks make background progress.
     let config = DeviceConfig::default().with_shards(2).with_log_pump_interval(usize::MAX);
     let mut device = PaxDevice::open_multi(pool, config, regions).unwrap();
@@ -104,10 +101,11 @@ fn weighted_scheduler_never_starves_the_light_tenant() {
     assert_eq!(device.log_pending_for(0), 64);
     assert_eq!(device.log_pending_for(1), 2);
 
-    // One tick. An unweighted scheduler would hand the heavy tenant the
-    // whole per-shard budget and leave the light tenant's entries sitting;
-    // the weighted floor guarantees every active lane drains at least one
-    // entry per tick, so the light backlog clears immediately.
+    // One tick. A scheduler serving lanes by backlog would hand the heavy
+    // tenant the whole per-shard budget and leave the light tenant's
+    // entries sitting; the equal split guarantees every active lane
+    // drains at least one entry per tick, so the light backlog clears
+    // immediately.
     device.tick(1).unwrap();
     assert_eq!(device.log_pending_for(1), 0, "light tenant drained on the first tick");
     assert!(device.log_pending_for(0) > 0, "heavy backlog is still working off");
@@ -118,32 +116,6 @@ fn weighted_scheduler_never_starves_the_light_tenant() {
     }
     assert_eq!(device.log_pending_for(0), 0);
     assert_eq!(device.log_durable_offset(), 66, "both tenants' logs fully drained");
-}
-
-/// Adaptive budgets stay per-lane: one tenant's deep backlog boosts its
-/// own lanes without inflating the other tenant's budget share.
-#[test]
-fn adaptive_mode_with_tenants_drains_and_commits() {
-    let pool = PmPool::create(PoolConfig::small()).unwrap();
-    let data_lines = pool.layout().data_lines;
-    let regions = pax_device::even_split(data_lines, 2);
-    let config = DeviceConfig::default()
-        .with_log_pump_interval(usize::MAX)
-        .with_sched(SchedConfig::default().with_adaptive());
-    let mut device = PaxDevice::open_multi(pool, config, regions).unwrap();
-    let mut cache = CoherentCache::new(CacheConfig::tiny(256 << 10, 8));
-    let base = data_lines / 2;
-    for i in 0..64u64 {
-        cache.write(LineAddr(i), CacheLine::filled(1), &mut device).unwrap();
-    }
-    cache.write(LineAddr(base), CacheLine::filled(2), &mut device).unwrap();
-    for _ in 0..128 {
-        device.tick(1).unwrap();
-    }
-    assert_eq!(device.log_durable_offset(), 65, "both tenants drained under adaptive mode");
-    device.persist_tenant(1, &mut cache).unwrap();
-    assert_eq!(device.committed_epoch_for(1).unwrap(), 1);
-    assert_eq!(device.committed_epoch_for(0).unwrap(), 0);
 }
 
 proptest! {
